@@ -18,7 +18,7 @@ use jits_common::fault::{
 use jits_common::{
     fault_key, ColumnId, FaultPlane, JitsError, Result, Schema, SplitMix64, TableId, Value,
 };
-use jits_executor::{execute_with_opts, ExecOptions, ExecutorKind};
+use jits_executor::{execute, ExecOptions};
 use jits_obs::clock::now_nanos;
 use jits_obs::{FlightEvent, Observability, QueryLogEntry, TraceBuilder};
 use jits_optimizer::{
@@ -84,9 +84,6 @@ pub struct Database {
     runstats_opts: RunstatsOptions,
     /// Groups materialized by the most recent JITS compile phase.
     last_materialized: usize,
-    /// Evaluate SELECTs on the vectorized batch executor (default) or the
-    /// row-at-a-time path; bit-identical either way, kept for A/B runs.
-    batch_executor: bool,
     /// Physically skip zone-map-pruned blocks during pruned scans (default
     /// on). Results, work, and observations are bit-identical either way —
     /// the skip list is always consulted for charging — so this is another
@@ -131,7 +128,6 @@ impl Database {
             defaults: DefaultSelectivities::default(),
             runstats_opts: RunstatsOptions::default(),
             last_materialized: 0,
-            batch_executor: true,
             data_skipping: true,
             profiling: true,
             obs: Arc::new(Observability::new()),
@@ -152,7 +148,9 @@ impl Database {
     /// Replayed statements that error do so deterministically (the
     /// original execution failed the same way), so statement-level replay
     /// errors are counted, not fatal. A checkpoint that fails to *decode*
-    /// after passing its CRC is real corruption and aborts the open with
+    /// after passing its CRC, or a log record this engine cannot apply
+    /// (an unknown flag, an undecodable setting), is real corruption or an
+    /// unsupported older format and aborts the open with
     /// [`JitsError::Recovery`].
     pub fn open(seed: u64, dir: &Path) -> Result<Database> {
         let opened = Wal::open(dir)?;
@@ -169,8 +167,10 @@ impl Database {
         }
         for (_lsn, rec) in &opened.records {
             report.replayed_records += 1;
-            if db.replay(rec).is_err() {
-                report.replay_errors += 1;
+            match db.replay(rec) {
+                Ok(()) => {}
+                Err(e @ JitsError::Recovery(_)) => return Err(e),
+                Err(_) => report.replay_errors += 1,
             }
         }
         db.wal = Some(opened.wal);
@@ -187,7 +187,6 @@ impl Database {
     fn restore(&mut self, s: RestoredState) {
         self.clock = s.clock;
         self.rng = s.rng;
-        self.batch_executor = s.batch_executor;
         self.data_skipping = s.data_skipping;
         self.profiling = s.profiling;
         self.setting = s.setting;
@@ -235,7 +234,6 @@ impl Database {
             WalRecord::SetFlag { name, on } => {
                 match name.as_str() {
                     "profiling" => self.set_profiling(*on),
-                    "batch_executor" => self.set_batch_executor(*on),
                     "data_skipping" => self.set_data_skipping(*on),
                     other => {
                         return Err(JitsError::Recovery(format!(
@@ -287,7 +285,6 @@ impl Database {
         let payload = persist::encode_state(&StateRefs {
             clock: self.clock,
             rng_state: self.rng.state(),
-            batch_executor: self.batch_executor,
             data_skipping: self.data_skipping,
             profiling: self.profiling,
             setting: &self.setting,
@@ -347,25 +344,6 @@ impl Database {
     #[doc(hidden)]
     pub fn predcache_for_test(&self) -> &PredicateCache {
         &self.predcache
-    }
-
-    /// Selects the executor for subsequent SELECTs: the vectorized batch
-    /// engine (`true`, the default) or the row-at-a-time path. The two are
-    /// differential-tested bit-identical in result rows, work, and
-    /// observations, so this only affects wall-clock speed.
-    pub fn set_batch_executor(&mut self, on: bool) {
-        if self.batch_executor != on {
-            self.wal_append_lossy(&WalRecord::SetFlag {
-                name: "batch_executor".to_string(),
-                on,
-            });
-        }
-        self.batch_executor = on;
-    }
-
-    /// Whether SELECTs run on the vectorized batch executor.
-    pub fn batch_executor(&self) -> bool {
-        self.batch_executor
     }
 
     /// Enables or disables physical block skipping in pruned scans (default
@@ -667,7 +645,6 @@ impl Database {
             self.cost,
             self.defaults,
             self.runstats_opts,
-            self.batch_executor,
             self.data_skipping,
             self.profiling,
             self.obs,
@@ -849,13 +826,7 @@ impl Database {
         // -- execute --
         tb.begin("execute");
         let t1 = now_nanos();
-        let kind = if self.batch_executor {
-            ExecutorKind::Batch
-        } else {
-            ExecutorKind::Row
-        };
-        let out = execute_with_opts(
-            kind,
+        let out = execute(
             &plan,
             &block,
             &self.tables,
@@ -869,8 +840,6 @@ impl Database {
         tb.end(exec_nanos);
         metrics.exec_work = out.stats.work;
         metrics.result_rows = out.rows.len();
-        metrics.batch_executor = self.batch_executor;
-        observe::note_executor(&obs, self.batch_executor);
         observe::note_access_paths(&obs, &out.stats);
 
         // -- profile (estimation-quality observatory) --
@@ -883,7 +852,6 @@ impl Database {
                     clock: self.clock,
                     session: 0,
                     sql,
-                    batch_executor: self.batch_executor,
                     result_rows: out.rows.len(),
                     degraded: metrics.degraded,
                     exec_wall_nanos: exec_nanos,
@@ -1057,11 +1025,6 @@ impl Database {
         // -- statistics collection (sampling) --
         tb.begin("collect");
         let t = now_nanos();
-        let clock_fn: Option<&(dyn Fn() -> u64 + Sync)> = if tb.enabled() {
-            Some(&jits_obs::clock::now_nanos)
-        } else {
-            None
-        };
         let cache_before = self.samplecache.counters();
         let (sources, draw_meta) = resolve_sample_sources(
             &mut self.samplecache,
@@ -1078,7 +1041,7 @@ impl Database {
             cfg.sample,
             &mut self.rng,
             cfg.collect_threads,
-            clock_fn,
+            Some(&jits_obs::clock::now_nanos),
             &sources,
             cfg.collect_budget,
             &self.fault,

@@ -73,10 +73,6 @@ pub struct QueryMetrics {
     /// Time this statement spent blocked acquiring engine locks (always
     /// zero on the single-session [`crate::Database`] path).
     pub lock_wait: Duration,
-    /// True when the statement was evaluated on the vectorized batch
-    /// executor (the default); false on the row-at-a-time A/B path. Always
-    /// false for DML, which bypasses plan execution.
-    pub batch_executor: bool,
     /// True when any part of the JITS pipeline degraded for this statement
     /// (budget abort, fault-isolated table, quarantined archive group, …).
     /// The statement still returns a plan — degradation trades statistics

@@ -413,24 +413,11 @@ pub(crate) fn qerror_feedback(obs: &Observability, catalog: &Catalog) -> BTreeMa
         .collect()
 }
 
-/// Records the feedback stage (LEO ingest).
-/// Records which executor evaluated one SELECT. Deterministic: the choice
-/// is a setting, never data- or timing-dependent, so the batch/row split is
-/// replayable and backs the A/B comparisons.
-pub(crate) fn note_executor(obs: &Observability, batch: bool) {
-    let name = if batch {
-        "jits.exec.batch_statements"
-    } else {
-        "jits.exec.row_statements"
-    };
-    obs.registry.counter(name, Volatility::Deterministic).inc();
-}
-
 /// Records one SELECT's access-path usage: zone-map skip counters plus a
 /// per-path tally of how base tables were reached. Everything derives from
 /// the skip lists and the plan shape — never from whether blocks were
 /// physically skipped — so the counters are deterministic and identical
-/// with data skipping on or off, on either executor, at any thread count.
+/// with data skipping on or off and at any thread count.
 pub(crate) fn note_access_paths(obs: &Observability, stats: &jits_executor::ExecStats) {
     use jits_executor::NodeKind;
     let (mut seq, mut pruned, mut index) = (0u64, 0u64, 0u64);

@@ -37,8 +37,10 @@ use jits_wal::{Decoder, Encoder};
 use jits_common::{ColGroup, ColumnId, JitsError, Result, SplitMix64, TableId, Value};
 use std::sync::Arc;
 
-/// Checkpoint payload format version.
-const STATE_VERSION: u8 = 1;
+/// Checkpoint payload format version. Version 2 dropped the executor-choice
+/// flag byte that version 1 stored after the RNG state; older segments fail
+/// to open with a typed "unsupported format version" error.
+const STATE_VERSION: u8 = 2;
 
 /// What recovery did, surfaced through `Database::recovery_report` and the
 /// `jits.recovery.*` metrics.
@@ -61,7 +63,6 @@ pub struct RecoveryReport {
 pub(crate) struct StateRefs<'a> {
     pub clock: u64,
     pub rng_state: u64,
-    pub batch_executor: bool,
     pub data_skipping: bool,
     pub profiling: bool,
     pub setting: &'a StatsSetting,
@@ -78,7 +79,6 @@ pub(crate) struct StateRefs<'a> {
 pub(crate) struct RestoredState {
     pub clock: u64,
     pub rng: SplitMix64,
-    pub batch_executor: bool,
     pub data_skipping: bool,
     pub profiling: bool,
     pub setting: StatsSetting,
@@ -892,7 +892,6 @@ pub(crate) fn encode_state(s: &StateRefs) -> Vec<u8> {
     e.put_u8(STATE_VERSION);
     e.put_u64(s.clock);
     e.put_u64(s.rng_state);
-    e.put_bool(s.batch_executor);
     e.put_bool(s.data_skipping);
     e.put_bool(s.profiling);
     put_setting(&mut e, s.setting);
@@ -923,7 +922,6 @@ pub(crate) fn decode_state(bytes: &[u8]) -> Result<RestoredState> {
     }
     let clock = d.u64()?;
     let rng = SplitMix64::from_state(d.u64()?);
-    let batch_executor = d.bool()?;
     let data_skipping = d.bool()?;
     let profiling = d.bool()?;
     let setting = setting(&mut d)?;
@@ -950,7 +948,6 @@ pub(crate) fn decode_state(bytes: &[u8]) -> Result<RestoredState> {
     Ok(RestoredState {
         clock,
         rng,
-        batch_executor,
         data_skipping,
         profiling,
         setting,
@@ -974,7 +971,6 @@ mod tests {
         let bytes = encode_state(&StateRefs {
             clock: db.clock(),
             rng_state: db.rng_state_for_test(),
-            batch_executor: db.batch_executor(),
             data_skipping: db.data_skipping(),
             profiling: db.profiling(),
             setting: db.setting(),
@@ -1073,7 +1069,6 @@ mod tests {
         let bytes = encode_state(&StateRefs {
             clock: 0,
             rng_state: 1,
-            batch_executor: true,
             data_skipping: true,
             profiling: true,
             setting: db.setting(),

@@ -5,9 +5,8 @@
 //! into a [`QueryProfile`]: one row per operator carrying estimated vs.
 //! actual cardinality, q-error, charged work, and inclusive wall time.
 //! The deterministic fields (kind, table, rows, q-error, work) are
-//! bit-identical between the row and batch executors and across
-//! `collect_threads`; only `wall_nanos` is volatile, and every dump path
-//! can mask it.
+//! bit-identical across `collect_threads` and data-skipping on/off; only
+//! `wall_nanos` is volatile, and every dump path can mask it.
 //!
 //! Profiles feed three consumers: `EXPLAIN ANALYZE`
 //! ([`crate::Database::explain_analyze`]), the `jits_profile` /
@@ -31,8 +30,6 @@ pub(crate) struct ProfileContext<'a> {
     pub session: u64,
     /// Statement text.
     pub sql: &'a str,
-    /// Whether the batch executor evaluated the statement.
-    pub batch_executor: bool,
     /// Result rows returned.
     pub result_rows: usize,
     /// Whether any pipeline stage degraded for this statement.
@@ -66,7 +63,6 @@ pub(crate) fn build_profile(
         clock: ctx.clock,
         session: ctx.session,
         sql: ctx.sql.to_string(),
-        executor: if ctx.batch_executor { "batch" } else { "row" }.to_string(),
         result_rows: ctx.result_rows,
         total_work: stats.work,
         max_q_error,
@@ -164,8 +160,7 @@ pub(crate) fn render_profile(p: &QueryProfile) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "EXPLAIN ANALYZE ({} executor): {} rows, work {:.0}, max q-error {:.2}{}",
-        p.executor,
+        "EXPLAIN ANALYZE: {} rows, work {:.0}, max q-error {:.2}{}",
         p.result_rows,
         p.total_work,
         p.max_q_error,

@@ -68,7 +68,7 @@ use jits_common::fault::{
     FP_ARCHIVE_READ, FP_ARCHIVE_WRITE, FP_HISTORY_READ, FP_SAMPLECACHE_COMMIT,
 };
 use jits_common::{fault_key, FaultPlane, JitsError, Result, Schema, SplitMix64, TableId, Value};
-use jits_executor::{execute_with_opts, ExecOptions, ExecutorKind};
+use jits_executor::{execute, ExecOptions};
 use jits_obs::clock::now_nanos;
 use jits_obs::{FlightEvent, Observability, QueryLogEntry, TraceBuilder};
 use jits_optimizer::{
@@ -128,9 +128,6 @@ struct Shared {
     cost: CostModel,
     defaults: DefaultSelectivities,
     runstats_opts: RunstatsOptions,
-    /// Evaluate SELECTs on the vectorized batch executor (default) or the
-    /// row-at-a-time A/B path; lock-free, togglable at any time.
-    batch_executor: AtomicBool,
     /// Physically skip zone-map-pruned blocks in pruned scans (default on);
     /// bit-identical results either way, lock-free, togglable at any time.
     data_skipping: AtomicBool,
@@ -235,7 +232,6 @@ impl Shared {
         let payload = persist::encode_state(&StateRefs {
             clock,
             rng_state,
-            batch_executor: self.batch_executor.load(Ordering::SeqCst),
             data_skipping: self.data_skipping.load(Ordering::SeqCst),
             profiling: self.profiling.load(Ordering::SeqCst),
             setting: &setting,
@@ -371,7 +367,6 @@ impl SharedDatabase {
         cost: CostModel,
         defaults: DefaultSelectivities,
         runstats_opts: RunstatsOptions,
-        batch_executor: bool,
         data_skipping: bool,
         profiling: bool,
         obs: Arc<Observability>,
@@ -395,7 +390,6 @@ impl SharedDatabase {
                 cost,
                 defaults,
                 runstats_opts,
-                batch_executor: AtomicBool::new(batch_executor),
                 data_skipping: AtomicBool::new(data_skipping),
                 profiling: AtomicBool::new(profiling),
                 counters: EngineCounters::default(),
@@ -439,19 +433,6 @@ impl SharedDatabase {
     /// next statement.
     pub fn set_fault_plane(&self, fault: FaultPlane) {
         *self.shared.fault.lock() = fault;
-    }
-
-    /// Selects the executor for every session's subsequent SELECTs (see
-    /// [`Database::set_batch_executor`]); lock-free, takes effect at each
-    /// session's next statement.
-    pub fn set_batch_executor(&self, on: bool) {
-        self.shared
-            .set_flag_logged(&self.shared.batch_executor, "batch_executor", on);
-    }
-
-    /// Whether SELECTs run on the vectorized batch executor.
-    pub fn batch_executor(&self) -> bool {
-        self.shared.batch_executor.load(Ordering::SeqCst)
     }
 
     /// Enables or disables physical block skipping in pruned scans for
@@ -997,17 +978,10 @@ impl Session {
         // -- execute --
         tb.begin("execute");
         let t1 = now_nanos();
-        let batch_exec = sh.batch_executor.load(Ordering::SeqCst);
-        let kind = if batch_exec {
-            ExecutorKind::Batch
-        } else {
-            ExecutorKind::Row
-        };
         let skipping = sh.data_skipping.load(Ordering::SeqCst);
         let out = {
             let tables = timed_read(&sh.tables, &sh.counters, &mut waited);
-            execute_with_opts(
-                kind,
+            execute(
                 &plan,
                 &block,
                 &tables,
@@ -1022,8 +996,6 @@ impl Session {
         tb.end(exec_nanos);
         metrics.exec_work = out.stats.work;
         metrics.result_rows = out.rows.len();
-        metrics.batch_executor = batch_exec;
-        observe::note_executor(&sh.obs, batch_exec);
         observe::note_access_paths(&sh.obs, &out.stats);
 
         // -- profile (estimation-quality observatory) --
@@ -1038,7 +1010,6 @@ impl Session {
                         clock,
                         session: self.id,
                         sql,
-                        batch_executor: batch_exec,
                         result_rows: out.rows.len(),
                         degraded: metrics.degraded,
                         exec_wall_nanos: exec_nanos,
@@ -1220,11 +1191,6 @@ impl Session {
             // -- statistics collection (sampling) --
             tb.begin("collect");
             let t = now_nanos();
-            let clock_fn: Option<&(dyn Fn() -> u64 + Sync)> = if tb.enabled() {
-                Some(&jits_obs::clock::now_nanos)
-            } else {
-                None
-            };
             // Phase A: resolve each quantifier's sample source under a short
             // samplecache write window (rank 6, legal above the held reads).
             let (sources, draw_meta, cache_before) = {
@@ -1243,7 +1209,7 @@ impl Session {
                 cfg.sample,
                 &mut self.rng,
                 cfg.collect_threads,
-                clock_fn,
+                Some(&jits_obs::clock::now_nanos),
                 &sources,
                 cfg.collect_budget,
                 &fault,

@@ -1,30 +1,28 @@
 //! Vectorized batch execution over columnar gathers.
 //!
-//! The row executor ([`crate::exec`]) materializes intermediate results as
-//! vectors of row-id tuples and calls [`Table::value`] once per *row ×
-//! predicate/key* probe — a `Value` clone (and, for strings, an `Arc` bump)
-//! each time. This module evaluates the same physical plans columnar:
+//! Physical plans evaluate columnar:
 //!
 //! * operators carry **selection vectors** — one `Vec<RowId>` per covered
-//!   quantifier, struct-of-arrays instead of the row path's array-of-structs
-//!   tuple vectors;
+//!   quantifier (struct-of-arrays), never per-tuple row-id vectors;
 //! * scan predicates evaluate as **bitsets over gathered columns**: every
 //!   referenced column is gathered once into a typed dense
-//!   [`FrameColumn`] (PR 4's collection-path layout, reused here against
+//!   [`FrameColumn`] (the collection path's layout, reused here against
 //!   live tables) and each predicate ANDs its verdicts into a `Vec<bool>`;
 //! * joins gather their key columns once per side and probe/build over the
 //!   dense slices; aggregation accumulates over gathered slices.
 //!
-//! **Bit-identity contract.** For every plan the batch executor produces the
-//! same result rows (values and order), the same `ExecStats.work` (same
-//! [`CostModel`] formulas applied to the same counts, in the same order —
-//! f64-bit-identical), and the same node/scan observations as the row
-//! executor. The argument: `FrameColumn::value(i)` is defined to equal
+//! **Determinism contract.** `FrameColumn::value(i)` equals
 //! `Table::value(rows[i], c)`, predicates and key comparisons run the same
 //! `Value` operations (or a typed integer fast path whose outcome equals
-//! `Interval::contains` exactly), hash-join output order is probe-order ×
-//! build-insertion-order in both paths, and ORDER BY uses the same stable
-//! comparator. The contract is enforced by `tests/batch_executor.rs`.
+//! `Interval::contains` exactly), and every operator charges the
+//! [`CostModel`] formulas to its counts in a fixed order, so result rows and
+//! `ExecStats.work` are reproducible bit for bit. Three output-order
+//! conventions are part of the contract: hash-join output is probe order ×
+//! build-insertion order, GROUP BY emits groups in first-seen order, and
+//! ORDER BY is a stable sort (ties keep input order). Golden digests in
+//! `tests/batch_executor.rs` and `tests/profile_observatory.rs` pin rows,
+//! work bits, and node/scan observations, so changing a convention is a
+//! deliberate golden update.
 
 use crate::exec::{
     accumulate, finish_groups, index_interval, matches_preds, position_in, record_scan, table_of,
@@ -39,7 +37,7 @@ use std::collections::BTreeMap;
 
 /// A batch in struct-of-arrays form: `sel[i]` is the selection vector of
 /// quantifier `quns[i]`, and all selection vectors share length `len`
-/// (tuple `t` of the row executor corresponds to `sel[..][t]`).
+/// (tuple `t` is `sel[..][t]`).
 struct ColumnBatch {
     quns: Vec<usize>,
     sel: Vec<Vec<RowId>>,
@@ -77,9 +75,10 @@ impl ColumnBatch {
     }
 }
 
-/// Executes a physical plan on the batch executor (see module docs for the
-/// bit-identity contract with [`crate::exec::execute_with`]'s row path).
-pub(crate) fn execute_batch(
+/// Executes a physical plan for `block` against `tables` (indexed by
+/// `TableId`), charging `cost`'s work units (see the module docs for the
+/// determinism contract).
+pub fn execute(
     plan: &PhysicalPlan,
     block: &QueryBlock,
     tables: &[Table],
@@ -93,7 +92,7 @@ pub(crate) fn execute_batch(
         let fc = table.gather_column(col, batch.sel_of(qun)?);
         let n = batch.len as f64;
         let mut perm: Vec<usize> = (0..batch.len).collect();
-        // same stable sort and comparator as the row path, over indices
+        // stable sort over indices: ties keep their input order
         perm.sort_by(|&a, &b| {
             let ord = fc.value(a).cmp_total(&fc.value(b));
             if desc {
@@ -146,13 +145,12 @@ fn run_batch(
 ///
 /// - every covered quantifier carries a selection vector, all of the
 ///   batch's length, with no quantifier covered twice;
-/// - scan output preserves ascending row-id order (the row path's scan
-///   order — joins and ORDER BY may reorder, scans must not);
+/// - scan output preserves ascending row-id order (joins and ORDER BY may
+///   reorder, scans must not);
 /// - the operator charged exactly one node observation whose kind matches
 ///   the plan node, with finite non-negative work, and the running work
-///   total grew by a finite non-negative amount (charged-work parity with
-///   the row path is then enforced per node by `tests/batch_executor.rs`,
-///   which compares the `NodeObservation.work` streams bit for bit).
+///   total grew by a finite non-negative amount (the exact per-node charges
+///   are pinned by goldens in `tests/batch_executor.rs`).
 #[cfg(debug_assertions)]
 fn debug_validate_batch(
     plan: &PhysicalPlan,
@@ -269,8 +267,9 @@ fn run_operator(
     opts: ExecOptions,
     stats: &mut ExecStats,
 ) -> Result<ColumnBatch> {
-    // inclusive wall per node, mirroring the row path's capture points;
-    // volatile and excluded from the bit-identity contract
+    // inclusive wall per node (children recurse within the arm, so a join's
+    // wall covers its inputs); volatile and excluded from the determinism
+    // contract
     let t_node = jits_obs::clock::now_nanos();
     match plan {
         PhysicalPlan::SeqScan { scan, est } => {
@@ -301,9 +300,10 @@ fn run_operator(
                 "optimizer block-size assumption diverged from storage"
             );
             let table = table_of(tables, block, scan.qun)?;
-            // same skip list, work formula, and row order as the row path
-            // (and as the off-mode full scan — pruning is sound, so the
-            // surviving blocks contain every matching row)
+            // the skip list is computed in both modes and work is charged
+            // from it; pruning is sound (pruned blocks hold no matching
+            // rows), so the off-mode full scan yields the same rows in the
+            // same ascending order
             let constraints = zone_constraints(block, &scan.pred_indices);
             let skip = table.skip_list(&constraints);
             let rows: Vec<RowId> = if opts.data_skipping {
@@ -594,7 +594,7 @@ fn gather_keys<'a>(
 }
 
 /// Hash-join pair construction: output is probe-order × build-insertion-
-/// order, exactly like the row path's tuple loop. NULL keys never join.
+/// order. NULL keys never join.
 fn hash_join_pairs(
     build_cols: &[FrameColumn],
     probe_cols: &[FrameColumn],
@@ -681,7 +681,7 @@ fn filter_rows(
 /// ANDs one predicate's verdicts into `keep`. Integer intervals compare
 /// dense `i64`s directly; every other shape falls back to
 /// [`LocalPredicate::matches`] over [`FrameColumn::value`], which is
-/// definitionally identical to the row path.
+/// definitionally identical to reading the table row by row.
 fn eval_pred(p: &LocalPredicate, fc: &FrameColumn, keep: &mut [bool]) {
     if let (PredKind::Interval(iv), FrameValues::Int(vals)) = (&p.kind, &fc.values) {
         if let Some((lo, hi)) = int_bounds(iv) {
@@ -745,7 +745,7 @@ fn project_batch(batch: &ColumnBatch, block: &QueryBlock, tables: &[Table]) -> R
         }
         Projection::Wildcard => {
             // gather all columns of every quantifier once, then emit rows in
-            // the same qun-major / column-minor order as the row path
+            // qun-major / column-minor order
             let mut frames: Vec<Vec<FrameColumn>> = Vec::with_capacity(block.quns.len());
             for qun in 0..block.quns.len() {
                 let table = table_of(tables, block, qun)?;
@@ -807,7 +807,7 @@ fn eval_aggregate_batch(
 }
 
 /// Hash aggregation over gathered key/input columns, one output row per
-/// distinct key combination in first-seen order (same as the row path).
+/// distinct key combination in first-seen order.
 fn eval_group_by_batch(
     keys: &[(usize, ColumnId)],
     items: &[jits_query::qgm::GroupItem],
@@ -824,7 +824,7 @@ fn eval_group_by_batch(
         })
         .collect::<Result<_>>()?;
     // per-item aggregate input columns, gathered once; None for COUNT(*)
-    // and for items whose table is missing (mirroring the row path's `.ok()`)
+    // and for items whose table is missing
     let agg_cols: Vec<Option<FrameColumn>> = items
         .iter()
         .map(|it| match it {

@@ -1,10 +1,13 @@
-//! Plan evaluation.
+//! Execution results and options, plus the per-row helpers the evaluator
+//! ([`crate::batch`]) builds on: predicate matching, zone-map and index
+//! interval merging, scan observation recording, and aggregate
+//! accumulation.
 
 use crate::monitor::{ExecStats, NodeKind, NodeObservation, ScanObservation};
 use jits_common::{ColumnId, Interval, JitsError, Result, Value};
-use jits_optimizer::{CostModel, PhysicalPlan, ScanGroupEstimate};
+use jits_optimizer::ScanGroupEstimate;
 use jits_query::ast::AggFunc;
-use jits_query::{PredKind, Projection, QueryBlock};
+use jits_query::{PredKind, QueryBlock};
 use jits_storage::{Row, RowId, Table};
 
 /// The result of executing a SELECT block.
@@ -16,20 +19,7 @@ pub struct ExecOutput {
     pub stats: ExecStats,
 }
 
-/// Which of the two executors evaluates the plan.
-///
-/// Both produce bit-identical results, work charges, and observations; the
-/// batch executor replaces per-row `Value` materialization with columnar
-/// gathers and selection vectors (see [`crate::batch`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutorKind {
-    /// Row-at-a-time volcano evaluation over row-id tuples.
-    Row,
-    /// Vectorized evaluation over gathered columns and selection vectors.
-    Batch,
-}
-
-/// Per-execution options shared by both executors.
+/// Per-execution options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
     /// Whether pruned scans physically skip zone-map-pruned blocks. The
@@ -47,108 +37,12 @@ impl Default for ExecOptions {
     }
 }
 
-/// A batch of intermediate tuples: `quns[i]` names the quantifier whose row
-/// id sits at position `i` of every tuple.
-struct Batch {
-    quns: Vec<usize>,
-    tuples: Vec<Vec<RowId>>,
-}
-
-impl Batch {
-    fn position_of(&self, qun: usize) -> Result<usize> {
-        position_in(&self.quns, qun)
-    }
-}
-
 /// Index of `qun` within a covered-quantifier list; a typed error (not a
 /// panic) when a malformed plan references an uncovered quantifier.
 pub(crate) fn position_in(quns: &[usize], qun: usize) -> Result<usize> {
     quns.iter().position(|q| *q == qun).ok_or_else(|| {
         JitsError::Execution(format!("quantifier q{qun} is not covered by the batch"))
     })
-}
-
-/// Executes a physical plan for `block` against `tables` (indexed by
-/// `TableId`) on the default (batch) executor.
-pub fn execute(
-    plan: &PhysicalPlan,
-    block: &QueryBlock,
-    tables: &[Table],
-    cost: &CostModel,
-) -> Result<ExecOutput> {
-    execute_with(ExecutorKind::Batch, plan, block, tables, cost)
-}
-
-/// Executes a physical plan on the chosen executor. The two executors are
-/// differential-tested bit-identical (rows, `ExecStats.work`, node and scan
-/// observations); `kind` only selects the evaluation strategy.
-pub fn execute_with(
-    kind: ExecutorKind,
-    plan: &PhysicalPlan,
-    block: &QueryBlock,
-    tables: &[Table],
-    cost: &CostModel,
-) -> Result<ExecOutput> {
-    execute_with_opts(kind, plan, block, tables, cost, ExecOptions::default())
-}
-
-/// [`execute_with`] with explicit [`ExecOptions`].
-pub fn execute_with_opts(
-    kind: ExecutorKind,
-    plan: &PhysicalPlan,
-    block: &QueryBlock,
-    tables: &[Table],
-    cost: &CostModel,
-    opts: ExecOptions,
-) -> Result<ExecOutput> {
-    match kind {
-        ExecutorKind::Row => execute_row(plan, block, tables, cost, opts),
-        ExecutorKind::Batch => crate::batch::execute_batch(plan, block, tables, cost, opts),
-    }
-}
-
-fn execute_row(
-    plan: &PhysicalPlan,
-    block: &QueryBlock,
-    tables: &[Table],
-    cost: &CostModel,
-    opts: ExecOptions,
-) -> Result<ExecOutput> {
-    let mut stats = ExecStats::default();
-    let mut batch = run(plan, block, tables, cost, opts, &mut stats)?;
-    if let Some((qun, col, desc)) = block.order_by {
-        let pos = batch.position_of(qun)?;
-        let table = table_of(tables, block, qun)?;
-        let n = batch.tuples.len() as f64;
-        batch.tuples.sort_by(|a, b| {
-            let va = table.value(a[pos], col);
-            let vb = table.value(b[pos], col);
-            let ord = va.cmp_total(&vb);
-            if desc {
-                ord.reverse()
-            } else {
-                ord
-            }
-        });
-        stats.work += cost.sort(n);
-    }
-    let aggregating = matches!(
-        block.projection,
-        Projection::CountStar | Projection::Aggregates(_) | Projection::GroupBy { .. }
-    );
-    if let Some(limit) = block.limit {
-        if !aggregating {
-            // for plain projections LIMIT can truncate the input tuples;
-            // aggregations consume every tuple and limit their output rows
-            batch.tuples.truncate(limit);
-        }
-    }
-    let mut rows = project(&batch, block, tables)?;
-    if let Some(limit) = block.limit {
-        rows.truncate(limit);
-    }
-    stats.work += rows.len() as f64 * cost.output_row;
-    Ok(ExecOutput { rows, stats })
 }
 
 pub(crate) fn table_of<'a>(
@@ -160,378 +54,6 @@ pub(crate) fn table_of<'a>(
     tables
         .get(tid.index())
         .ok_or_else(|| JitsError::Execution(format!("table {tid} missing from execution context")))
-}
-
-fn run(
-    plan: &PhysicalPlan,
-    block: &QueryBlock,
-    tables: &[Table],
-    cost: &CostModel,
-    opts: ExecOptions,
-    stats: &mut ExecStats,
-) -> Result<Batch> {
-    // inclusive wall per node (children recurse within the arm, so a join's
-    // wall covers its inputs); volatile — never part of the bit-compared
-    // observation stream
-    let t_node = jits_obs::clock::now_nanos();
-    match plan {
-        PhysicalPlan::SeqScan { scan, est } => {
-            let table = table_of(tables, block, scan.qun)?;
-            let mut tuples = Vec::new();
-            for row in table.scan() {
-                if matches_preds(table, row, block, &scan.pred_indices) {
-                    tuples.push(vec![row]);
-                }
-            }
-            let work = cost.seq_scan(table.row_count() as f64, tuples.len() as f64);
-            stats.work += work;
-            record_scan(
-                stats,
-                scan,
-                NodeKind::SeqScan,
-                est.rows,
-                tuples.len(),
-                table,
-                work,
-                jits_obs::clock::now_nanos().saturating_sub(t_node),
-            );
-            Ok(Batch {
-                quns: vec![scan.qun],
-                tuples,
-            })
-        }
-        PhysicalPlan::PrunedScan { scan, est, .. } => {
-            debug_assert!(
-                jits_optimizer::EST_BLOCK_ROWS == jits_storage::BLOCK_SIZE as f64,
-                "optimizer block-size assumption diverged from storage"
-            );
-            let table = table_of(tables, block, scan.qun)?;
-            // the skip list is computed in both modes: pruning is sound
-            // (pruned blocks hold no matching rows), so the off-mode full
-            // scan yields the same rows in the same ascending order, and
-            // charging work from the skip list keeps the stats identical
-            let constraints = zone_constraints(block, &scan.pred_indices);
-            let skip = table.skip_list(&constraints);
-            let mut tuples = Vec::new();
-            if opts.data_skipping {
-                for &b in &skip.survivors {
-                    for row in table.block_rows(b as usize) {
-                        if matches_preds(table, row, block, &scan.pred_indices) {
-                            tuples.push(vec![row]);
-                        }
-                    }
-                }
-            } else {
-                for row in table.scan() {
-                    if matches_preds(table, row, block, &scan.pred_indices) {
-                        tuples.push(vec![row]);
-                    }
-                }
-            }
-            let work = cost.pruned_scan(
-                skip.blocks_total as f64,
-                skip.surviving_rows as f64,
-                tuples.len() as f64,
-            );
-            stats.work += work;
-            stats.blocks_total += skip.blocks_total as u64;
-            stats.blocks_pruned += skip.blocks_pruned() as u64;
-            record_scan(
-                stats,
-                scan,
-                NodeKind::PrunedScan,
-                est.rows,
-                tuples.len(),
-                table,
-                work,
-                jits_obs::clock::now_nanos().saturating_sub(t_node),
-            );
-            Ok(Batch {
-                quns: vec![scan.qun],
-                tuples,
-            })
-        }
-        PhysicalPlan::IndexScan {
-            scan,
-            index_column,
-            est,
-            ..
-        } => {
-            let table = table_of(tables, block, scan.qun)?;
-            let index = table.index(*index_column).ok_or_else(|| {
-                JitsError::Execution(format!(
-                    "plan expects an index on {index_column} of '{}'",
-                    table.name()
-                ))
-            })?;
-            let interval = index_interval(block, &scan.pred_indices, *index_column)?;
-            // equality probes route to the hash twin when one exists; its
-            // per-key row vectors are maintained in the same order as the
-            // B-tree's, so the candidate stream is identical either way
-            let point_key = if interval.is_point() {
-                interval.low.value()
-            } else {
-                None
-            };
-            let candidates: Vec<RowId> = match (point_key, table.hash_index(*index_column)) {
-                (Some(v), Some(hash)) => hash.lookup_eq(v).to_vec(),
-                _ => index.lookup_range(&interval),
-            };
-            let fetched = candidates.len() as f64;
-            let mut tuples = Vec::new();
-            for row in candidates {
-                if table.is_live(row) && matches_preds(table, row, block, &scan.pred_indices) {
-                    tuples.push(vec![row]);
-                }
-            }
-            let work = cost.index_scan(fetched, tuples.len() as f64);
-            stats.work += work;
-            record_scan(
-                stats,
-                scan,
-                NodeKind::IndexScan,
-                est.rows,
-                tuples.len(),
-                table,
-                work,
-                jits_obs::clock::now_nanos().saturating_sub(t_node),
-            );
-            Ok(Batch {
-                quns: vec![scan.qun],
-                tuples,
-            })
-        }
-        PhysicalPlan::HashJoin {
-            build,
-            probe,
-            keys,
-            est,
-        } => {
-            let build_batch = run(build, block, tables, cost, opts, stats)?;
-            let probe_batch = run(probe, block, tables, cost, opts, stats)?;
-            if keys.is_empty() {
-                return Err(JitsError::Execution("hash join without keys".into()));
-            }
-            // hash the build side
-            let mut ht: std::collections::HashMap<Vec<Value>, Vec<usize>> =
-                std::collections::HashMap::new();
-            let build_positions: Vec<(usize, ColumnId)> = keys
-                .iter()
-                .map(|((bq, bc), _)| Ok((build_batch.position_of(*bq)?, *bc)))
-                .collect::<Result<_>>()?;
-            let build_tables: Vec<&Table> = keys
-                .iter()
-                .map(|((bq, _), _)| table_of(tables, block, *bq))
-                .collect::<Result<_>>()?;
-            for (ti, tuple) in build_batch.tuples.iter().enumerate() {
-                let key: Vec<Value> = build_positions
-                    .iter()
-                    .zip(&build_tables)
-                    .map(|((pos, col), t)| t.value(tuple[*pos], *col))
-                    .collect();
-                if key.iter().any(Value::is_null) {
-                    continue; // NULL keys never join
-                }
-                ht.entry(key).or_default().push(ti);
-            }
-            // probe
-            let probe_positions: Vec<(usize, ColumnId)> = keys
-                .iter()
-                .map(|(_, (pq, pc))| Ok((probe_batch.position_of(*pq)?, *pc)))
-                .collect::<Result<_>>()?;
-            let probe_tables: Vec<&Table> = keys
-                .iter()
-                .map(|(_, (pq, _))| table_of(tables, block, *pq))
-                .collect::<Result<_>>()?;
-            let mut tuples = Vec::new();
-            for probe_tuple in &probe_batch.tuples {
-                let key: Vec<Value> = probe_positions
-                    .iter()
-                    .zip(&probe_tables)
-                    .map(|((pos, col), t)| t.value(probe_tuple[*pos], *col))
-                    .collect();
-                if key.iter().any(Value::is_null) {
-                    continue;
-                }
-                if let Some(matches) = ht.get(&key) {
-                    for &bi in matches {
-                        let mut combined = build_batch.tuples[bi].clone();
-                        combined.extend_from_slice(probe_tuple);
-                        tuples.push(combined);
-                    }
-                }
-            }
-            let work = cost.hash_join(
-                build_batch.tuples.len() as f64,
-                probe_batch.tuples.len() as f64,
-                tuples.len() as f64,
-            );
-            stats.work += work;
-            stats.nodes.push(NodeObservation {
-                kind: NodeKind::HashJoin,
-                est_rows: est.rows,
-                actual_rows: tuples.len() as f64,
-                work,
-            });
-            stats
-                .node_walls
-                .push(jits_obs::clock::now_nanos().saturating_sub(t_node));
-            let mut quns = build_batch.quns;
-            quns.extend(probe_batch.quns);
-            Ok(Batch { quns, tuples })
-        }
-        PhysicalPlan::IndexNLJoin {
-            outer,
-            inner,
-            index_column,
-            keys,
-            est,
-        } => {
-            let outer_batch = run(outer, block, tables, cost, opts, stats)?;
-            let inner_table = table_of(tables, block, inner.qun)?;
-            let index = inner_table.index(*index_column).ok_or_else(|| {
-                JitsError::Execution(format!(
-                    "plan expects an index on {index_column} of '{}'",
-                    inner_table.name()
-                ))
-            })?;
-            let Some(&((drive_oq, drive_oc), _)) = keys.first() else {
-                return Err(JitsError::Execution(
-                    "index nested-loop join without keys".into(),
-                ));
-            };
-            let drive_pos = outer_batch.position_of(drive_oq)?;
-            let drive_table = table_of(tables, block, drive_oq)?;
-            // equality probes prefer the hash twin (same per-key row order
-            // as the B-tree, so the candidate stream is identical)
-            let hash = inner_table.hash_index(*index_column);
-            // residual keys beyond the driving one; positions and tables are
-            // loop-invariant, so resolve them once before probing
-            let residual: Vec<(usize, ColumnId, &Table, ColumnId)> = keys[1..]
-                .iter()
-                .map(|((oq, oc), (_, ic))| {
-                    Ok((
-                        outer_batch.position_of(*oq)?,
-                        *oc,
-                        table_of(tables, block, *oq)?,
-                        *ic,
-                    ))
-                })
-                .collect::<Result<_>>()?;
-            let mut tuples = Vec::new();
-            let mut fetched_total = 0f64;
-            for outer_tuple in &outer_batch.tuples {
-                let key = drive_table.value(outer_tuple[drive_pos], drive_oc);
-                if key.is_null() {
-                    continue;
-                }
-                let candidates = match hash {
-                    Some(h) => h.lookup_eq(&key),
-                    None => index.lookup_eq(&key),
-                };
-                fetched_total += candidates.len() as f64;
-                'cand: for &irow in candidates {
-                    if !inner_table.is_live(irow)
-                        || !matches_preds(inner_table, irow, block, &inner.pred_indices)
-                    {
-                        continue;
-                    }
-                    for (opos, oc, ot, ic) in &residual {
-                        let ov = ot.value(outer_tuple[*opos], *oc);
-                        let iv = inner_table.value(irow, *ic);
-                        if !ov.sql_eq(&iv) {
-                            continue 'cand;
-                        }
-                    }
-                    let mut combined = outer_tuple.clone();
-                    combined.push(irow);
-                    tuples.push(combined);
-                }
-            }
-            let per_probe = if outer_batch.tuples.is_empty() {
-                0.0
-            } else {
-                fetched_total / outer_batch.tuples.len() as f64
-            };
-            let work = cost.index_nl_join(
-                outer_batch.tuples.len() as f64,
-                per_probe,
-                tuples.len() as f64,
-            );
-            stats.work += work;
-            stats.nodes.push(NodeObservation {
-                kind: NodeKind::IndexNLJoin,
-                est_rows: est.rows,
-                actual_rows: tuples.len() as f64,
-                work,
-            });
-            stats
-                .node_walls
-                .push(jits_obs::clock::now_nanos().saturating_sub(t_node));
-            let mut quns = outer_batch.quns;
-            quns.push(inner.qun);
-            Ok(Batch { quns, tuples })
-        }
-        PhysicalPlan::NLJoin {
-            outer,
-            inner,
-            keys,
-            est,
-        } => {
-            let outer_batch = run(outer, block, tables, cost, opts, stats)?;
-            let inner_batch = run(inner, block, tables, cost, opts, stats)?;
-            let key_positions: Vec<((usize, ColumnId), (usize, ColumnId))> = keys
-                .iter()
-                .map(|((oq, oc), (iq, ic))| {
-                    Ok((
-                        (outer_batch.position_of(*oq)?, *oc),
-                        (inner_batch.position_of(*iq)?, *ic),
-                    ))
-                })
-                .collect::<Result<_>>()?;
-            let outer_key_tables: Vec<&Table> = keys
-                .iter()
-                .map(|((oq, _), _)| table_of(tables, block, *oq))
-                .collect::<Result<_>>()?;
-            let inner_key_tables: Vec<&Table> = keys
-                .iter()
-                .map(|(_, (iq, _))| table_of(tables, block, *iq))
-                .collect::<Result<_>>()?;
-            let mut tuples = Vec::new();
-            for ot in &outer_batch.tuples {
-                'inner: for it in &inner_batch.tuples {
-                    for (ki, ((opos, oc), (ipos, ic))) in key_positions.iter().enumerate() {
-                        let ov = outer_key_tables[ki].value(ot[*opos], *oc);
-                        let iv = inner_key_tables[ki].value(it[*ipos], *ic);
-                        if !ov.sql_eq(&iv) {
-                            continue 'inner;
-                        }
-                    }
-                    let mut combined = ot.clone();
-                    combined.extend_from_slice(it);
-                    tuples.push(combined);
-                }
-            }
-            let work = cost.nl_join(
-                outer_batch.tuples.len() as f64,
-                inner_batch.tuples.len() as f64,
-                tuples.len() as f64,
-            );
-            stats.work += work;
-            stats.nodes.push(NodeObservation {
-                kind: NodeKind::NLJoin,
-                est_rows: est.rows,
-                actual_rows: tuples.len() as f64,
-                work,
-            });
-            stats
-                .node_walls
-                .push(jits_obs::clock::now_nanos().saturating_sub(t_node));
-            let mut quns = outer_batch.quns;
-            quns.extend(inner_batch.quns);
-            Ok(Batch { quns, tuples })
-        }
-    }
 }
 
 /// Whether a row satisfies all the given local predicates.
@@ -548,8 +70,7 @@ pub(crate) fn matches_preds(
 }
 
 /// The per-column zone-map constraints of a scan's predicate group: every
-/// interval predicate, merged per column by intersection. Shared by both
-/// executors so their skip lists (and therefore their work charges) agree.
+/// interval predicate, merged per column by intersection.
 pub(crate) fn zone_constraints(
     block: &QueryBlock,
     pred_indices: &[usize],
@@ -713,8 +234,7 @@ impl AggAcc {
 }
 
 /// Feeds one input value to an accumulator, surfacing the typed error the
-/// executor reports for `SUM`/`AVG` over non-numeric input. Shared by the
-/// row and batch aggregate paths so they cannot diverge.
+/// executor reports for `SUM`/`AVG` over non-numeric input.
 pub(crate) fn accumulate(acc: &mut AggAcc, func: AggFunc, col: ColumnId, v: Value) -> Result<()> {
     if matches!(func, AggFunc::Sum | AggFunc::Avg) && !v.is_null() && v.as_f64().is_none() {
         return Err(JitsError::Execution(format!(
@@ -725,78 +245,7 @@ pub(crate) fn accumulate(acc: &mut AggAcc, func: AggFunc, col: ColumnId, v: Valu
     Ok(())
 }
 
-/// Hash aggregation: one output row per distinct grouping-key combination,
-/// in first-seen order (deterministic given the input order).
-fn eval_group_by(
-    keys: &[(usize, ColumnId)],
-    items: &[jits_query::qgm::GroupItem],
-    batch: &Batch,
-    block: &QueryBlock,
-    tables: &[Table],
-) -> Result<Vec<Row>> {
-    use jits_query::qgm::GroupItem;
-    let key_pos: Vec<(usize, ColumnId)> = keys
-        .iter()
-        .map(|(q, c)| Ok((batch.position_of(*q)?, *c)))
-        .collect::<Result<_>>()?;
-    let key_tables: Vec<&Table> = keys
-        .iter()
-        .map(|(q, _)| table_of(tables, block, *q))
-        .collect::<Result<_>>()?;
-    // per-item aggregate inputs (position + column), None for COUNT(*)
-    let agg_inputs: Vec<Option<(usize, ColumnId)>> = items
-        .iter()
-        .map(|it| match it {
-            GroupItem::Agg(a) => a
-                .col
-                .map(|(q, c)| Ok((batch.position_of(q)?, c)))
-                .transpose(),
-            GroupItem::Key(_) => Ok(None),
-        })
-        .collect::<Result<_>>()?;
-    let agg_tables: Vec<Option<&Table>> = items
-        .iter()
-        .map(|it| match it {
-            GroupItem::Agg(a) => match a.col {
-                Some((q, _)) => table_of(tables, block, q).ok(),
-                None => None,
-            },
-            GroupItem::Key(_) => None,
-        })
-        .collect();
-
-    // `groups` maps key -> group index and is only ever probed (`entry`);
-    // output order comes from the first-seen `order`/`accs` vectors, so no
-    // hash order is observed
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut accs: Vec<(Vec<AggAcc>, i64)> = Vec::new();
-    let mut groups: std::collections::HashMap<Vec<Value>, usize> = std::collections::HashMap::new();
-    for tuple in &batch.tuples {
-        let key: Vec<Value> = key_pos
-            .iter()
-            .zip(&key_tables)
-            .map(|((pos, col), t)| t.value(tuple[*pos], *col))
-            .collect();
-        let n_items = items.len();
-        let gi = *groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            accs.push((vec![AggAcc::new(); n_items], 0));
-            accs.len() - 1
-        });
-        let entry = &mut accs[gi];
-        entry.1 += 1; // group row count for COUNT(*)
-        for (i, item) in items.iter().enumerate() {
-            if let GroupItem::Agg(_) = item {
-                if let (Some((pos, col)), Some(t)) = (agg_inputs[i], agg_tables[i]) {
-                    entry.0[i].push(t.value(tuple[pos], col));
-                }
-            }
-        }
-    }
-    Ok(finish_groups(items, order, accs))
-}
-
-/// Emits one row per group in first-seen order, shared by both executors.
+/// Emits one row per group in first-seen order.
 pub(crate) fn finish_groups(
     items: &[jits_query::qgm::GroupItem],
     order: Vec<Vec<Value>>,
@@ -822,75 +271,13 @@ pub(crate) fn finish_groups(
         .collect()
 }
 
-/// Evaluates one aggregate over the whole batch (no GROUP BY).
-fn eval_aggregate(
-    agg: &jits_query::BoundAggregate,
-    batch: &Batch,
-    block: &QueryBlock,
-    tables: &[Table],
-) -> Result<Value> {
-    let Some((qun, col)) = agg.col else {
-        return Ok(Value::Int(batch.tuples.len() as i64));
-    };
-    let pos = batch.position_of(qun)?;
-    let table = table_of(tables, block, qun)?;
-    let mut acc = AggAcc::new();
-    for tuple in &batch.tuples {
-        accumulate(&mut acc, agg.func, col, table.value(tuple[pos], col))?;
-    }
-    Ok(acc.finish(agg.func))
-}
-
-fn project(batch: &Batch, block: &QueryBlock, tables: &[Table]) -> Result<Vec<Row>> {
-    match &block.projection {
-        Projection::CountStar => Ok(vec![vec![Value::Int(batch.tuples.len() as i64)]]),
-        Projection::Aggregates(aggs) => {
-            let row = aggs
-                .iter()
-                .map(|agg| eval_aggregate(agg, batch, block, tables))
-                .collect::<Result<Vec<Value>>>()?;
-            Ok(vec![row])
-        }
-        Projection::GroupBy { keys, items } => eval_group_by(keys, items, batch, block, tables),
-        Projection::Wildcard => {
-            let mut rows = Vec::with_capacity(batch.tuples.len());
-            for tuple in &batch.tuples {
-                let mut row = Vec::new();
-                for qun in 0..block.quns.len() {
-                    let pos = batch.position_of(qun)?;
-                    let table = table_of(tables, block, qun)?;
-                    for c in 0..table.schema().len() {
-                        row.push(table.value(tuple[pos], ColumnId(c as u32)));
-                    }
-                }
-                rows.push(row);
-            }
-            Ok(rows)
-        }
-        Projection::Columns(cols) => {
-            let mut rows = Vec::with_capacity(batch.tuples.len());
-            for tuple in &batch.tuples {
-                let row = cols
-                    .iter()
-                    .map(|(qun, col)| {
-                        let pos = batch.position_of(*qun)?;
-                        table_of(tables, block, *qun).map(|t| t.value(tuple[pos], *col))
-                    })
-                    .collect::<Result<Vec<Value>>>()?;
-                rows.push(row);
-            }
-            Ok(rows)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use jits_catalog::{runstats, Catalog, RunstatsOptions};
     use jits_common::{DataType, Schema};
     use jits_optimizer::{
-        optimize, CardinalityEstimator, CatalogStatisticsProvider, DefaultSelectivities,
+        optimize, CardinalityEstimator, CatalogStatisticsProvider, CostModel, DefaultSelectivities,
     };
     use jits_query::{bind_statement, parse, BoundStatement};
 
@@ -956,7 +343,7 @@ mod tests {
         let est = CardinalityEstimator::new(&provider, DefaultSelectivities::default());
         let cost = CostModel::default();
         let plan = optimize(&block, &est, &cost, catalog).unwrap();
-        execute(&plan, &block, tables, &cost).unwrap()
+        crate::execute(&plan, &block, tables, &cost, ExecOptions::default()).unwrap()
     }
 
     #[test]
@@ -1076,7 +463,7 @@ mod additional_tests {
     use jits_catalog::{runstats, Catalog, RunstatsOptions};
     use jits_common::{DataType, Schema};
     use jits_optimizer::{
-        optimize, CardinalityEstimator, CatalogStatisticsProvider, DefaultSelectivities,
+        optimize, CardinalityEstimator, CatalogStatisticsProvider, CostModel, DefaultSelectivities,
     };
     use jits_query::{bind_statement, parse, BoundStatement};
 
@@ -1123,7 +510,7 @@ mod additional_tests {
         let est = CardinalityEstimator::new(&provider, DefaultSelectivities::default());
         let cost = CostModel::default();
         let plan = optimize(&block, &est, &cost, catalog).unwrap();
-        execute(&plan, &block, tables, &cost).unwrap()
+        crate::execute(&plan, &block, tables, &cost, ExecOptions::default()).unwrap()
     }
 
     #[test]

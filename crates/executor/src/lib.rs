@@ -1,11 +1,9 @@
 //! Plan execution with cardinality monitoring.
 //!
-//! Two executors share one contract: the row path materializes intermediate
-//! results as vectors of row-id tuples (one row id per covered quantifier),
-//! while the default batch path ([`batch`]) keeps one selection vector per
-//! quantifier and evaluates predicates, join keys, and aggregates over
-//! columnar gathers. Both charge identical work and record identical
-//! observations — [`ExecutorKind`] only selects the evaluation strategy.
+//! One vectorized executor ([`batch`]): operators exchange one selection
+//! vector per quantifier and evaluate predicates, join keys, and aggregates
+//! over columnar gathers; [`exec`] holds the result/option types and the
+//! per-row helpers it builds on. [`execute`] is the single entry point.
 //! Two byproducts matter to JITS:
 //!
 //! * **work accounting** — every operator charges the same
@@ -24,5 +22,6 @@ pub mod batch;
 pub mod exec;
 pub mod monitor;
 
-pub use exec::{execute, execute_with, execute_with_opts, ExecOptions, ExecOutput, ExecutorKind};
+pub use batch::execute;
+pub use exec::{ExecOptions, ExecOutput};
 pub use monitor::{ExecStats, NodeKind, NodeObservation, ScanObservation};

@@ -74,8 +74,6 @@ pub struct QueryProfile {
     pub session: u64,
     /// Statement text.
     pub sql: String,
-    /// Which executor evaluated the plan (`row` or `batch`).
-    pub executor: String,
     /// Rows the statement returned.
     pub result_rows: usize,
     /// Total charged work in cost-model units.
@@ -266,12 +264,11 @@ fn event_json(out: &mut String, e: &FlightEvent, include_volatile: bool) {
         FlightEvent::Profile(p) => {
             out.push_str(&format!(
                 "{{\"type\": \"profile\", \"clock\": {}, \"session\": {}, \"sql\": {}, \
-                 \"executor\": {}, \"result_rows\": {}, \"total_work\": {}, \
-                 \"max_q_error\": {}, \"degraded\": {}, \"exec_wall_nanos\": {}, \"nodes\": [",
+                 \"result_rows\": {}, \"total_work\": {}, \"max_q_error\": {}, \
+                 \"degraded\": {}, \"exec_wall_nanos\": {}, \"nodes\": [",
                 p.clock,
                 p.session,
                 json_str(&p.sql),
-                json_str(&p.executor),
                 p.result_rows,
                 json_f64(p.total_work),
                 json_f64(p.max_q_error),
@@ -341,7 +338,6 @@ mod tests {
             clock,
             session: 0,
             sql: format!("SELECT {clock} -- \"quoted\"\nline two"),
-            executor: "batch".to_string(),
             result_rows: 3,
             total_work: 120.5,
             max_q_error: 2.0,

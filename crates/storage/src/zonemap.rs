@@ -128,7 +128,7 @@ pub struct ZoneMaps {
 }
 
 /// The outcome of pruning one scan against a table's zone maps: which
-/// blocks survive and the exact bookkeeping both executors charge from.
+/// blocks survive and the exact bookkeeping the executor charges from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockSkipList {
     /// Blocks the table currently spans.

@@ -90,10 +90,10 @@ pub enum WalRecord {
         /// Engine-encoded setting bytes.
         payload: Vec<u8>,
     },
-    /// An engine flag flip (`profiling`, `batch_executor`,
-    /// `data_skipping`) — all three are decision-bearing (profiling feeds
-    /// q-error feedback; the executor flags pick code paths that tick
-    /// different observability counters).
+    /// An engine flag flip (`profiling` or `data_skipping`), logged so
+    /// replay restores it: profiling feeds q-error feedback, and data
+    /// skipping picks the scan code path. The engine rejects any other
+    /// name on replay with a typed recovery error.
     SetFlag {
         /// Flag name.
         name: String,

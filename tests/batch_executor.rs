@@ -1,14 +1,21 @@
-//! Batch-executor integration tests: the vectorized path must be
-//! bit-identical to the row-at-a-time path — same rows in the same order,
-//! same `ExecStats.work` bit pattern, same node and scan observations — on
-//! every plan shape, and the engine's `batch_executor` setting must A/B
-//! cleanly at any collection fan-out.
+//! Executor integration tests: on every plan shape the vectorized executor
+//! must reproduce pinned goldens bit for bit — the same rows in the same
+//! order, the same `ExecStats.work` bit pattern, the same node and scan
+//! observations — and engine replays must stay bit-identical at any
+//! collection fan-out.
+//!
+//! The goldens were captured while a row-at-a-time executor still ran
+//! beside the vectorized one and the two agreed on every entry, so they
+//! pin the output-order conventions both shared: hash-join output is probe
+//! order × build-insertion order, GROUP BY emits groups in first-seen
+//! order, and ORDER BY is a stable sort. A deliberate change to any of
+//! them, or to a cost formula, shows up here as a golden mismatch.
 
 use jits_repro::catalog::{runstats, Catalog, RunstatsOptions};
 use jits_repro::common::{ColumnId, DataType, JitsError, Schema, TableId, Value};
 use jits_repro::core::JitsConfig;
 use jits_repro::engine::{Database, StatsSetting};
-use jits_repro::executor::{execute_with, ExecutorKind};
+use jits_repro::executor::{execute, ExecOptions, ExecOutput, NodeKind};
 use jits_repro::optimizer::{
     optimize, CardinalityEstimator, CatalogStatisticsProvider, CostModel, DefaultSelectivities,
     NodeEst, PhysicalPlan, ScanGroupEstimate, StatSource,
@@ -113,75 +120,147 @@ const CORPUS: &[&str] = &[
      ORDER BY o.name LIMIT 9",
 ];
 
-/// The core contract: for the optimizer's chosen plan, the batch executor
-/// reproduces the row executor bit for bit — rows, work, and both
-/// observation streams.
+/// FNV-1a over bytes: a digest that is stable across platforms and Rust
+/// releases, unlike `std`'s `DefaultHasher`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Digest of a value's `Debug` rendering (exact for floats: `Debug` prints
+/// the shortest string that round-trips to the same bits).
+fn digest(x: &impl std::fmt::Debug) -> u64 {
+    fnv1a(format!("{x:?}").as_bytes())
+}
+
+fn run(catalog: &Catalog, tables: &[Table], sql: &str) -> ExecOutput {
+    let (block, plan, cost) = plan_of(catalog, sql);
+    execute(&plan, &block, tables, &cost, ExecOptions::default()).unwrap()
+}
+
+/// Per CORPUS entry: (row count, rows digest, `ExecStats.work` bits, node
+/// observations digest, scan observations digest).
+#[rustfmt::skip]
+const CORPUS_GOLDENS: &[(usize, u64, u64, u64, u64)] = &[
+    (400, 0x5cb8dd4f565a7ea5, 0x4099000000000000, 0x0c4a797fe695c63f, 0x806427efbebe70a2),
+    (7, 0xe2933838c95c7aa2, 0x409aaf8adfb383d8, 0x314583b9b4d04454, 0x3aa3f5cbd1023306),
+    (5, 0x80faa7faed403cee, 0x40a954fbad954e0c, 0x652501437ef73adc, 0xf710d6981647480d),
+    (0, 0x09612b07b5ecb5a5, 0x409c200000000000, 0xc75b75d79fe5e29d, 0x09612b07b5ecb5a5),
+    (1, 0xfaa187faa77947a3, 0x40960a0000000000, 0x652501437ef73adc, 0xf710d6981647480d),
+    (1, 0xe8ab04135052c64c, 0x4095e20000000000, 0x0c4a797fe695c63f, 0x806427efbebe70a2),
+    (3, 0x37ed07cc1dfe7f7a, 0x409c260000000000, 0xc75b75d79fe5e29d, 0x09612b07b5ecb5a5),
+    (4, 0x85c73d481361ae31, 0x4095e80000000000, 0x0c4a797fe695c63f, 0x806427efbebe70a2),
+    (1, 0xd6ad2b7b5c3af807, 0x40939e0000000000, 0x9cd22fd8acc6f321, 0xd791b8d1259abf17),
+    (545, 0x8fef915d081962db, 0x40ad740000000000, 0xd646d88e8e1612a5, 0x35b9f899c60590a9),
+    (1, 0x15cec92989036b4a, 0x40aa870000000000, 0x7b902bc7a735bc15, 0x09612b07b5ecb5a5),
+    (1, 0x1a0fe9e019ff9579, 0x4056600000000000, 0x801cff45ed1dc72a, 0x722c3a1392db12c9),
+    (2, 0x1a3dacaf7cb363eb, 0x40ae700000000000, 0xcf0f502af6443e69, 0x09612b07b5ecb5a5),
+    (9, 0x431f47fd2bb2f725, 0x40a858203baaa695, 0x1bc3a9e1b7aa62b6, 0x5f53b740914f8c28),
+];
+
+/// Per CORPUS entry: each node observation's kind and charged-work bits,
+/// in the executor's post-order push order.
+#[rustfmt::skip]
+const NODE_WORK_GOLDENS: &[&[(NodeKind, u64)]] = &[
+    &[(NodeKind::SeqScan, 0x4095e00000000000)],
+    &[(NodeKind::IndexScan, 0x408d600000000000)],
+    &[(NodeKind::SeqScan, 0x4096080000000000)],
+    &[(NodeKind::SeqScan, 0x409c200000000000)],
+    &[(NodeKind::SeqScan, 0x4096080000000000)],
+    &[(NodeKind::SeqScan, 0x4095e00000000000)],
+    &[(NodeKind::SeqScan, 0x409c200000000000)],
+    &[(NodeKind::SeqScan, 0x4095e00000000000)],
+    &[(NodeKind::SeqScan, 0x40939c0000000000)],
+    &[
+        (NodeKind::SeqScan, 0x405f400000000000),
+        (NodeKind::SeqScan, 0x409c200000000000),
+        (NodeKind::HashJoin, 0x4098920000000000),
+    ],
+    &[
+        (NodeKind::SeqScan, 0x4062c00000000000),
+        (NodeKind::SeqScan, 0x409c200000000000),
+        (NodeKind::HashJoin, 0x4096940000000000),
+    ],
+    &[(NodeKind::IndexScan, 0x4046400000000000), (NodeKind::IndexNLJoin, 0x4046400000000000)],
+    &[
+        (NodeKind::SeqScan, 0x4062c00000000000),
+        (NodeKind::SeqScan, 0x409c200000000000),
+        (NodeKind::HashJoin, 0x409e640000000000),
+    ],
+    &[
+        (NodeKind::SeqScan, 0x4062c00000000000),
+        (NodeKind::SeqScan, 0x4094f00000000000),
+        (NodeKind::HashJoin, 0x4082f80000000000),
+    ],
+];
+
+/// The core contract: for the optimizer's chosen plan, the executor
+/// reproduces the pinned rows, work, and both observation streams bit for
+/// bit. The goldens are the values the row-at-a-time and vectorized
+/// executors both produced when the two were last compared.
 #[test]
 fn batch_matches_row_bit_for_bit_across_corpus() {
     let (catalog, tables) = setup();
-    for sql in CORPUS {
-        let (block, plan, cost) = plan_of(&catalog, sql);
-        let row = execute_with(ExecutorKind::Row, &plan, &block, &tables, &cost).unwrap();
-        let batch = execute_with(ExecutorKind::Batch, &plan, &block, &tables, &cost).unwrap();
-        assert_eq!(row.rows, batch.rows, "rows diverged: {sql}");
-        assert_eq!(
-            row.stats.work.to_bits(),
-            batch.stats.work.to_bits(),
-            "work diverged: {sql} (row {} vs batch {})",
-            row.stats.work,
-            batch.stats.work
+    assert_eq!(CORPUS.len(), CORPUS_GOLDENS.len());
+    for (sql, golden) in CORPUS.iter().zip(CORPUS_GOLDENS) {
+        let out = run(&catalog, &tables, sql);
+        let got = (
+            out.rows.len(),
+            digest(&out.rows),
+            out.stats.work.to_bits(),
+            digest(&out.stats.nodes),
+            digest(&out.stats.scans),
         );
-        assert_eq!(row.stats.nodes, batch.stats.nodes, "nodes diverged: {sql}");
-        assert_eq!(row.stats.scans, batch.stats.scans, "scans diverged: {sql}");
+        assert_eq!(
+            got, *golden,
+            "{sql}: (rows, rows digest, work bits, nodes digest, scans digest) \
+             diverged from the golden; work {}",
+            out.stats.work
+        );
     }
 }
 
-/// Per-operator charged-work parity: each node observation's `work` slice
-/// must agree bit for bit between the executors (the debug-build validator
-/// in the batch executor checks the structural side — selection-vector
+/// Per-operator charged work: each node observation's kind and `work`
+/// slice must match the golden captured when both executors agreed (the
+/// debug-build validator checks the structural side — selection-vector
 /// lengths, scan monotonicity, one finite non-negative charge per node —
 /// on every run of this suite), and the node slices must account for no
-/// more than the total (the remainder is the sort/output epilogue, which
-/// both paths charge identically).
+/// more than the total (the remainder is the sort/output epilogue).
 #[test]
 fn per_node_charged_work_matches_across_executors() {
     let (catalog, tables) = setup();
-    for sql in CORPUS {
-        let (block, plan, cost) = plan_of(&catalog, sql);
-        let row = execute_with(ExecutorKind::Row, &plan, &block, &tables, &cost).unwrap();
-        let batch = execute_with(ExecutorKind::Batch, &plan, &block, &tables, &cost).unwrap();
-        assert_eq!(
-            row.stats.nodes.len(),
-            batch.stats.nodes.len(),
-            "node count diverged: {sql}"
-        );
-        for (r, b) in row.stats.nodes.iter().zip(&batch.stats.nodes) {
-            assert_eq!(r.kind, b.kind, "node kinds diverged: {sql}");
-            assert_eq!(
-                r.work.to_bits(),
-                b.work.to_bits(),
-                "per-node work diverged: {sql} ({:?}: row {} vs batch {})",
-                r.kind,
-                r.work,
-                b.work
-            );
+    assert_eq!(CORPUS.len(), NODE_WORK_GOLDENS.len());
+    for (sql, golden) in CORPUS.iter().zip(NODE_WORK_GOLDENS) {
+        let out = run(&catalog, &tables, sql);
+        let got: Vec<(NodeKind, u64)> = out
+            .stats
+            .nodes
+            .iter()
+            .map(|n| (n.kind, n.work.to_bits()))
+            .collect();
+        assert_eq!(got, *golden, "per-node kinds/work diverged: {sql}");
+        for n in &out.stats.nodes {
             assert!(
-                r.work.is_finite() && r.work >= 0.0,
+                n.work.is_finite() && n.work >= 0.0,
                 "non-finite or negative node work: {sql} ({:?})",
-                r.kind
+                n.kind
             );
         }
-        let node_sum: f64 = row.stats.nodes.iter().map(|n| n.work).sum();
+        let node_sum: f64 = out.stats.nodes.iter().map(|n| n.work).sum();
         assert!(
-            node_sum <= row.stats.work * (1.0 + 1e-12) + 1e-9,
+            node_sum <= out.stats.work * (1.0 + 1e-12) + 1e-9,
             "node work slices exceed the total: {sql} ({node_sum} > {})",
-            row.stats.work
+            out.stats.work
         );
     }
 }
 
 /// A malformed index nested-loop plan (no equality keys) must fail with a
-/// typed execution error on both paths, never a panic.
+/// typed execution error, never a panic.
 #[test]
 fn keyless_index_nl_join_is_a_typed_error() {
     let (catalog, tables) = setup();
@@ -212,18 +291,14 @@ fn keyless_index_nl_join_is_a_typed_error() {
         keys: vec![], // malformed: nothing to probe the index with
         est,
     };
-    for kind in [ExecutorKind::Row, ExecutorKind::Batch] {
-        match execute_with(kind, &plan, &block, &tables, &cost) {
-            Err(JitsError::Execution(m)) => {
-                assert!(m.contains("without keys"), "{kind:?}: {m}")
-            }
-            other => panic!("{kind:?}: expected typed execution error, got {other:?}"),
-        }
+    match execute(&plan, &block, &tables, &cost, ExecOptions::default()) {
+        Err(JitsError::Execution(m)) => assert!(m.contains("without keys"), "{m}"),
+        other => panic!("expected typed execution error, got {other:?}"),
     }
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level A/B and fan-out replay
+// Engine-level replay
 // ---------------------------------------------------------------------------
 
 fn build_engine_db(seed: u64) -> Database {
@@ -288,38 +363,45 @@ const SCRIPT: &[&str] = &[
 /// deterministic work counters.
 type OpTrace = Vec<(Vec<Vec<Value>>, u64, u64)>;
 
-/// Flipping the engine's `batch_executor` setting changes nothing but the
-/// evaluation strategy: the full query+DML script replays bit for bit.
+/// Per SCRIPT statement: (rows digest, compile-work bits, exec-work bits).
+#[rustfmt::skip]
+const SCRIPT_GOLDENS: &[(u64, u64, u64)] = &[
+    (0xf0a6c71d1bfd000d, 0x40af4c0000000000, 0x40a1500000000000),
+    (0xbd2478706bc57af3, 0x4082c40000000000, 0x40b7110000000000),
+    (0xd60184dfefe7b8b6, 0x0000000000000000, 0x40a7720000000000),
+    (0xf613eacc0c6f96d5, 0x40a7740000000000, 0x40ac9bd1e1f92186),
+    (0x09612b07b5ecb5a5, 0x0000000000000000, 0x409f440000000000),
+    (0xf96a4fb99b3a7257, 0x40a7740000000000, 0x40a03b0000000000),
+    (0xbd2478706bc57af3, 0x4082c40000000000, 0x40b7110000000000),
+];
+
+/// The full query+DML script, with JITS collecting on every statement,
+/// replays bit for bit against the goldens captured when the row-at-a-time
+/// and vectorized executors both produced them.
 #[test]
 fn engine_ab_replays_bit_for_bit() {
-    let run = |batch: bool| -> OpTrace {
-        let mut db = build_engine_db(52);
-        db.set_setting(StatsSetting::Jits(always_collect()));
-        db.set_batch_executor(batch);
-        assert_eq!(db.batch_executor(), batch);
-        SCRIPT
-            .iter()
-            .map(|sql| {
-                let r = db.execute(sql).unwrap();
-                if !sql.starts_with("UPDATE") {
-                    assert_eq!(r.metrics.batch_executor, batch, "{sql}");
-                }
-                (
-                    r.rows,
-                    r.metrics.compile_work.to_bits(),
-                    r.metrics.exec_work.to_bits(),
-                )
-            })
-            .collect()
-    };
-    assert_eq!(run(true), run(false));
+    let mut db = build_engine_db(52);
+    db.set_setting(StatsSetting::Jits(always_collect()));
+    assert_eq!(SCRIPT.len(), SCRIPT_GOLDENS.len());
+    for (sql, golden) in SCRIPT.iter().zip(SCRIPT_GOLDENS) {
+        let r = db.execute(sql).unwrap();
+        let got = (
+            digest(&r.rows),
+            r.metrics.compile_work.to_bits(),
+            r.metrics.exec_work.to_bits(),
+        );
+        assert_eq!(
+            got, *golden,
+            "{sql}: (rows digest, compile work bits, exec work bits) diverged"
+        );
+    }
 }
 
-/// With the batch executor on (the default), replaying through shared
-/// sessions stays bit-deterministic at any collection fan-out, and the
-/// executor-choice counter lands in the deterministic metrics export.
+/// Replaying through shared sessions stays bit-deterministic at any
+/// collection fan-out, and the executor-fed access-path counters land in
+/// the deterministic metrics export.
 #[test]
-fn batch_executor_bit_identical_at_1_and_8_collect_threads() {
+fn executor_bit_identical_at_1_and_8_collect_threads() {
     let drive = |threads: usize| -> (OpTrace, String) {
         let mut db = build_engine_db(53);
         db.set_setting(StatsSetting::Jits(JitsConfig {
@@ -327,7 +409,6 @@ fn batch_executor_bit_identical_at_1_and_8_collect_threads() {
             ..always_collect()
         }));
         let shared = db.into_shared();
-        assert!(shared.batch_executor(), "batch must be the default");
         let mut session = shared.session();
         let traces = SCRIPT
             .iter()
@@ -346,33 +427,7 @@ fn batch_executor_bit_identical_at_1_and_8_collect_threads() {
     let eight = drive(8);
     assert_eq!(one.0, eight.0, "per-op traces diverged across fan-out");
     assert_eq!(one.1, eight.1, "deterministic metrics diverged");
-    assert!(one.1.contains("jits.exec.batch_statements"));
-}
-
-/// The shared setting is per-engine, not per-session: a flip through one
-/// session handle is visible to all, and each statement reports which
-/// executor actually ran it.
-#[test]
-fn shared_setting_flips_across_sessions() {
-    let mut db = build_engine_db(54);
-    db.set_setting(StatsSetting::Jits(always_collect()));
-    let shared = db.into_shared();
-    let mut a = shared.session();
-    let mut b = shared.session();
-    let q = SCRIPT[0];
-
-    let ra = a.execute(q).unwrap();
-    assert!(ra.metrics.batch_executor);
-    shared.set_batch_executor(false);
-    assert!(!shared.batch_executor());
-    let rb = b.execute(q).unwrap();
-    assert!(!rb.metrics.batch_executor, "flip must reach other sessions");
-    assert_eq!(ra.rows, rb.rows);
-    assert_eq!(
-        ra.metrics.exec_work.to_bits(),
-        rb.metrics.exec_work.to_bits(),
-        "row/batch work must agree bit for bit at the engine level too"
-    );
+    assert!(one.1.contains("jits.skip.seq_scans"));
 }
 
 // ---------------------------------------------------------------------------
@@ -418,17 +473,13 @@ fn int_sum_is_exact_past_the_f64_boundary() {
 }
 
 /// Overflowing i64 must not wrap or panic: the sum degrades to the f64
-/// mirror, identically on both executors.
+/// mirror.
 #[test]
 fn int_sum_overflow_promotes_to_float() {
     let mut db = nums_db(&[i64::MAX, i64::MAX, 5]);
-    let run = |db: &mut Database| db.execute("SELECT SUM(v) FROM nums").unwrap().rows[0][0].clone();
-    let batch = run(&mut db);
-    db.set_batch_executor(false);
-    let row = run(&mut db);
-    assert_eq!(batch, row);
-    let Value::Float(f) = batch else {
-        panic!("overflowed SUM must promote to Float, got {batch:?}")
+    let sum = db.execute("SELECT SUM(v) FROM nums").unwrap().rows[0][0].clone();
+    let Value::Float(f) = sum else {
+        panic!("overflowed SUM must promote to Float, got {sum:?}")
     };
     assert!((f - (i64::MAX as f64) * 2.0).abs() / f < 1e-9);
 }

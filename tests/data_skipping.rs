@@ -1,14 +1,14 @@
 //! Data-skipping integration tests: a pruned scan must be bit-identical to
 //! the same scan with skipping disabled — same rows in the same order, same
 //! `ExecStats.work` bit pattern, same node and scan observations, and the
-//! same zone-map block totals — on both executors, and the engine's
-//! `data_skipping` setting must A/B cleanly at any collection fan-out.
+//! same zone-map block totals — and the engine's `data_skipping` setting
+//! must A/B cleanly at any collection fan-out.
 
 use jits_repro::catalog::{runstats, Catalog, RunstatsOptions};
 use jits_repro::common::{ColumnId, DataType, Schema, Value};
 use jits_repro::core::JitsConfig;
 use jits_repro::engine::{Database, StatsSetting};
-use jits_repro::executor::{execute_with_opts, ExecOptions, ExecutorKind};
+use jits_repro::executor::{execute, ExecOptions};
 use jits_repro::optimizer::{
     optimize, CardinalityEstimator, CatalogStatisticsProvider, CostModel, DefaultSelectivities,
     PhysicalPlan,
@@ -121,7 +121,7 @@ fn has_pruned_scan(plan: &PhysicalPlan) -> bool {
 /// The core contract: with the skip list always computed, physically
 /// skipping pruned blocks changes nothing observable — rows, total and
 /// per-node work, scan observations, and the block counters all match bit
-/// for bit on both executors.
+/// for bit.
 #[test]
 fn pruning_on_off_bit_identical_across_corpus() {
     let (catalog, tables) = setup();
@@ -131,41 +131,28 @@ fn pruning_on_off_bit_identical_across_corpus() {
         if has_pruned_scan(&plan) {
             pruned_plans += 1;
         }
-        let mut runs = Vec::new();
-        for kind in [ExecutorKind::Row, ExecutorKind::Batch] {
-            for skipping in [true, false] {
-                let opts = ExecOptions {
-                    data_skipping: skipping,
-                };
-                let out = execute_with_opts(kind, &plan, &block, &tables, &cost, opts).unwrap();
-                runs.push((kind, skipping, out));
-            }
-        }
-        let (_, _, reference) = &runs[0];
-        for (kind, skipping, out) in &runs[1..] {
-            let what = format!("{sql} ({kind:?}, skipping {skipping})");
-            assert_eq!(reference.rows, out.rows, "rows diverged: {what}");
-            assert_eq!(
-                reference.stats.work.to_bits(),
-                out.stats.work.to_bits(),
-                "work diverged: {what} ({} vs {})",
-                reference.stats.work,
-                out.stats.work
-            );
-            assert_eq!(
-                reference.stats.nodes, out.stats.nodes,
-                "nodes diverged: {what}"
-            );
-            assert_eq!(
-                reference.stats.scans, out.stats.scans,
-                "scans diverged: {what}"
-            );
-            assert_eq!(
-                (reference.stats.blocks_total, reference.stats.blocks_pruned),
-                (out.stats.blocks_total, out.stats.blocks_pruned),
-                "block counters diverged: {what}"
-            );
-        }
+        let run = |skipping: bool| {
+            let opts = ExecOptions {
+                data_skipping: skipping,
+            };
+            execute(&plan, &block, &tables, &cost, opts).unwrap()
+        };
+        let (on, off) = (run(true), run(false));
+        assert_eq!(on.rows, off.rows, "rows diverged: {sql}");
+        assert_eq!(
+            on.stats.work.to_bits(),
+            off.stats.work.to_bits(),
+            "work diverged: {sql} ({} vs {})",
+            on.stats.work,
+            off.stats.work
+        );
+        assert_eq!(on.stats.nodes, off.stats.nodes, "nodes diverged: {sql}");
+        assert_eq!(on.stats.scans, off.stats.scans, "scans diverged: {sql}");
+        assert_eq!(
+            (on.stats.blocks_total, on.stats.blocks_pruned),
+            (off.stats.blocks_total, off.stats.blocks_pruned),
+            "block counters diverged: {sql}"
+        );
     }
     assert!(
         pruned_plans >= 5,
@@ -185,8 +172,7 @@ fn skip_totals_match_the_zone_layout() {
         let opts = ExecOptions {
             data_skipping: true,
         };
-        let out =
-            execute_with_opts(ExecutorKind::Batch, &plan, &block, &tables, &cost, opts).unwrap();
+        let out = execute(&plan, &block, &tables, &cost, opts).unwrap();
         (plan, out)
     };
 

@@ -1,7 +1,11 @@
 //! Differential testing: the full engine (parser → optimizer → executor)
 //! against a brute-force nested-loop reference evaluator, over randomized
-//! databases, predicates, and statistics settings. Whatever plan the
-//! optimizer picks, the rows must match.
+//! databases (including NULL join keys), predicates, and statistics
+//! settings. Whatever plan the optimizer picks, the rows must match: filter
+//! and join counts, `ORDER BY … LIMIT k` sort keys, and `GROUP BY`
+//! aggregates.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use jits_repro::common::{DataType, Schema, SplitMix64, Value};
 use jits_repro::core::JitsConfig;
@@ -13,7 +17,8 @@ const MAKES: [&str; 5] = ["Toyota", "Honda", "Audi", "BMW", "Ford"];
 #[derive(Debug, Clone)]
 struct CarRow {
     id: i64,
-    owner: i64,
+    /// `None` is a NULL join key: it never matches an owner.
+    owner: Option<i64>,
     make: &'static str,
     year: i64,
 }
@@ -51,7 +56,7 @@ fn build_db(cars: &[CarRow], owners: &[OwnerRow], with_indexes: bool) -> Databas
             .map(|c| {
                 vec![
                     Value::Int(c.id),
-                    Value::Int(c.owner),
+                    c.owner.map_or(Value::Null, Value::Int),
                     Value::str(c.make),
                     Value::Int(c.year),
                 ]
@@ -133,7 +138,11 @@ fn rows_strategy() -> impl Strategy<Value = (Vec<CarRow>, Vec<OwnerRow>)> {
         let cars = (0..n_cars)
             .map(|i| CarRow {
                 id: i as i64,
-                owner: rng.next_bounded(n_owners as u64) as i64,
+                owner: if rng.next_bounded(8) == 0 {
+                    None
+                } else {
+                    Some(rng.next_bounded(n_owners as u64) as i64)
+                },
                 make: MAKES[rng.next_index(MAKES.len())],
                 year: 1990 + rng.next_bounded(17) as i64,
             })
@@ -146,6 +155,111 @@ fn rows_strategy() -> impl Strategy<Value = (Vec<CarRow>, Vec<OwnerRow>)> {
             .collect();
         (cars, owners)
     })
+}
+
+/// Every row of the reference join: each car passing the filters, paired
+/// with each owner it references that passes them too (a NULL `ownerid`
+/// matches nothing). Without `join`, each passing car on its own.
+fn reference_rows<'a>(
+    cars: &'a [CarRow],
+    owners: &'a [OwnerRow],
+    filters: &[Filter],
+    join: bool,
+) -> Vec<(&'a CarRow, Option<&'a OwnerRow>)> {
+    let mut out = Vec::new();
+    for c in cars
+        .iter()
+        .filter(|c| filters.iter().all(|f| f.matches_car(c)))
+    {
+        if !join {
+            out.push((c, None));
+            continue;
+        }
+        for o in owners {
+            if c.owner == Some(o.id) && filters.iter().all(|f| f.matches_owner(o)) {
+                out.push((c, Some(o)));
+            }
+        }
+    }
+    out
+}
+
+/// The filters a query may carry: owner filters need the join.
+fn usable_filters(filters: Vec<Filter>, join: bool) -> Vec<Filter> {
+    filters
+        .into_iter()
+        .filter(|f| join || !f.on_owner())
+        .collect()
+}
+
+fn where_clause(join: bool, filters: &[Filter]) -> String {
+    let mut wheres: Vec<String> = Vec::new();
+    if join {
+        wheres.push("c.ownerid = o.id".to_string());
+    }
+    wheres.extend(filters.iter().map(Filter::sql));
+    if wheres.is_empty() {
+        String::new()
+    } else {
+        format!(" WHERE {}", wheres.join(" AND "))
+    }
+}
+
+/// A sort key in the reference's own total order: NULL first, then
+/// integers numerically, then strings bytewise. One sort column holds one
+/// type, so only NULL ever meets another variant.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+enum Key {
+    Null,
+    Int(i64),
+    Str(String),
+}
+
+fn key_of(v: &Value) -> Key {
+    match v {
+        Value::Null => Key::Null,
+        Value::Int(i) => Key::Int(*i),
+        Value::Str(s) => Key::Str(s.to_string()),
+        other => panic!("unexpected sort key {other:?}"),
+    }
+}
+
+/// The `ORDER BY` column of a generated query.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum SortCol {
+    Year,
+    Make,
+    /// Nullable: NULL keys sort first.
+    OwnerId,
+    /// Owner column, so only for joins.
+    Salary,
+}
+
+const SORT_COLS: [SortCol; 4] = [
+    SortCol::Year,
+    SortCol::Make,
+    SortCol::OwnerId,
+    SortCol::Salary,
+];
+
+impl SortCol {
+    fn sql(self) -> &'static str {
+        match self {
+            SortCol::Year => "c.year",
+            SortCol::Make => "c.make",
+            SortCol::OwnerId => "c.ownerid",
+            SortCol::Salary => "o.salary",
+        }
+    }
+
+    fn key(self, c: &CarRow, o: Option<&OwnerRow>) -> Key {
+        match self {
+            SortCol::Year => Key::Int(c.year),
+            SortCol::Make => Key::Str(c.make.to_string()),
+            SortCol::OwnerId => c.owner.map_or(Key::Null, Key::Int),
+            SortCol::Salary => Key::Int(o.expect("salary sorts only joins").salary),
+        }
+    }
 }
 
 fn settings_strategy() -> impl Strategy<Value = u8> {
@@ -219,7 +333,7 @@ proptest! {
             .map(|c| {
                 owners
                     .iter()
-                    .filter(|o| o.id == c.owner)
+                    .filter(|o| c.owner == Some(o.id))
                     .filter(|o| filters.iter().all(|f| f.matches_owner(o)))
                     .count() as i64
             })
@@ -255,5 +369,127 @@ proptest! {
             .as_i64()
             .unwrap();
         prop_assert_eq!(got, expected as i64);
+    }
+
+    /// `ORDER BY … LIMIT k`, on one table or the join, ascending or
+    /// descending: the returned sort keys are, in order, the reference's k
+    /// smallest (largest) keys. Ties leave the engine free to pick among
+    /// equal-keyed rows, so each returned row is checked on its own: it
+    /// satisfies the filters and join, carries its own key, and appears once.
+    #[test]
+    fn order_by_limit_matches_reference(
+        (cars, owners) in rows_strategy(),
+        filters in proptest::collection::vec(filter_strategy(), 0..3),
+        (join, sort, desc, k) in (any::<bool>(), 0..SORT_COLS.len(), any::<bool>(), 0usize..12),
+        setting in settings_strategy(),
+        with_indexes in any::<bool>(),
+    ) {
+        let sort = SORT_COLS[sort];
+        prop_assume!(join || sort != SortCol::Salary);
+        let filters = usable_filters(filters, join);
+        let mut db = build_db(&cars, &owners, with_indexes);
+        apply_setting(&mut db, setting);
+        let (select, from) = if join {
+            (format!("c.id, o.id, {}", sort.sql()), "car c, owner o")
+        } else {
+            (format!("c.id, {}", sort.sql()), "car c")
+        };
+        let sql = format!(
+            "SELECT {select} FROM {from}{} ORDER BY {} {} LIMIT {k}",
+            where_clause(join, &filters),
+            sort.sql(),
+            if desc { "DESC" } else { "ASC" },
+        );
+        let got = db.execute(&sql).unwrap().rows;
+
+        let mut want: Vec<Key> = reference_rows(&cars, &owners, &filters, join)
+            .into_iter()
+            .map(|(c, o)| sort.key(c, o))
+            .collect();
+        want.sort();
+        if desc {
+            want.reverse();
+        }
+        want.truncate(k);
+        let got_keys: Vec<Key> = got.iter().map(|r| key_of(&r[r.len() - 1])).collect();
+        prop_assert_eq!(got_keys, want, "{}", sql);
+
+        let mut seen = BTreeSet::new();
+        for r in &got {
+            let car = &cars[r[0].as_i64().unwrap() as usize];
+            prop_assert!(filters.iter().all(|f| f.matches_car(car)), "{} returned {:?}", sql, r);
+            let owner = if join {
+                let o = &owners[r[1].as_i64().unwrap() as usize];
+                prop_assert_eq!(car.owner, Some(o.id), "{}", sql);
+                prop_assert!(filters.iter().all(|f| f.matches_owner(o)), "{} returned {:?}", sql, r);
+                Some(o)
+            } else {
+                None
+            };
+            prop_assert_eq!(key_of(&r[r.len() - 1]), sort.key(car, owner), "{}", sql);
+            prop_assert!(seen.insert((car.id, owner.map(|o| o.id))), "{} repeats {:?}", sql, r);
+        }
+    }
+
+    /// `GROUP BY make` with `COUNT/SUM/MIN/MAX`, on one table (MIN/MAX over
+    /// the nullable `ownerid`, so NULLs are skipped and an all-NULL group
+    /// yields NULL) or the join. Group order is free, so groups compare
+    /// keyed by make.
+    #[test]
+    fn group_by_make_matches_reference(
+        (cars, owners) in rows_strategy(),
+        filters in proptest::collection::vec(filter_strategy(), 0..3),
+        join in any::<bool>(),
+        setting in settings_strategy(),
+        with_indexes in any::<bool>(),
+    ) {
+        let filters = usable_filters(filters, join);
+        let mut db = build_db(&cars, &owners, with_indexes);
+        apply_setting(&mut db, setting);
+        let (select, from) = if join {
+            ("c.make, COUNT(*), SUM(o.salary), MIN(c.year), MAX(c.year)", "car c, owner o")
+        } else {
+            ("c.make, COUNT(*), SUM(c.year), MIN(c.ownerid), MAX(c.ownerid)", "car c")
+        };
+        let sql = format!(
+            "SELECT {select} FROM {from}{} GROUP BY c.make",
+            where_clause(join, &filters)
+        );
+        let rows = db.execute(&sql).unwrap().rows;
+        let n_rows = rows.len();
+        let got: BTreeMap<String, Vec<Value>> = rows
+            .into_iter()
+            .map(|r| {
+                let Value::Str(make) = &r[0] else {
+                    panic!("{sql}: group key {:?} is not a make", r[0])
+                };
+                (make.to_string(), r[1..].to_vec())
+            })
+            .collect();
+        prop_assert_eq!(got.len(), n_rows, "{} emitted a group twice", sql);
+
+        // per make: (count, sum, min, max) of the reference rows
+        let mut groups: BTreeMap<String, (i64, i64, Option<i64>, Option<i64>)> = BTreeMap::new();
+        for (c, o) in reference_rows(&cars, &owners, &filters, join) {
+            let (summed, extreme) = match o {
+                Some(o) => (o.salary, Some(c.year)),
+                None => (c.year, c.owner),
+            };
+            let g = groups.entry(c.make.to_string()).or_insert((0, 0, None, None));
+            g.0 += 1;
+            g.1 += summed;
+            if let Some(v) = extreme {
+                g.2 = Some(g.2.map_or(v, |m| m.min(v)));
+                g.3 = Some(g.3.map_or(v, |m| m.max(v)));
+            }
+        }
+        let want: BTreeMap<String, Vec<Value>> = groups
+            .into_iter()
+            .map(|(make, (count, sum, min, max))| {
+                let nullable = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
+                (make, vec![Value::Int(count), Value::Int(sum), nullable(min), nullable(max)])
+            })
+            .collect();
+        prop_assert_eq!(got, want, "{}", sql);
     }
 }

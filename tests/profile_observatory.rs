@@ -1,11 +1,11 @@
 //! The estimation-quality observatory, end to end: per-operator profile
-//! trees from both executors, the q-error metrics they aggregate into, the
-//! flight recorder that retains them, and the system views / dumps that
-//! surface both (DESIGN.md §12).
+//! trees, the q-error metrics they aggregate into, the flight recorder that
+//! retains them, and the system views / dumps that surface both
+//! (DESIGN.md §12).
 
 use jits::JitsConfig;
 use jits_engine::StatsSetting;
-use jits_obs::{QueryProfile, Volatility};
+use jits_obs::{Observability, QueryProfile, Volatility};
 use jits_workload::{
     generate_workload, prepare, setup_database, DataGenConfig, Setting, WorkloadSpec,
 };
@@ -26,7 +26,7 @@ fn datagen() -> DataGenConfig {
 }
 
 /// The deterministic skeleton of a profile: everything except the volatile
-/// wall fields and the executor label.
+/// wall fields.
 fn fingerprint(p: &QueryProfile) -> String {
     use std::fmt::Write as _;
     let mut out = format!(
@@ -55,14 +55,11 @@ fn fingerprint(p: &QueryProfile) -> String {
     out
 }
 
-/// Masks the volatile parts of a rendered `EXPLAIN ANALYZE`: per-node
-/// `wall=<n>ns` readings and the executor label in the header.
+/// Masks the volatile parts of a rendered `EXPLAIN ANALYZE`: the per-node
+/// `wall=<n>ns` readings.
 fn mask_render(text: &str) -> String {
-    let text = text
-        .replace("(batch executor)", "(_ executor)")
-        .replace("(row executor)", "(_ executor)");
     let mut out = String::with_capacity(text.len());
-    let mut rest = text.as_str();
+    let mut rest = text;
     while let Some(at) = rest.find("wall=") {
         out.push_str(&rest[..at]);
         out.push_str("wall=_");
@@ -74,23 +71,52 @@ fn mask_render(text: &str) -> String {
     out
 }
 
+/// `fingerprint` of the paper query's profile (estimates, actuals,
+/// q-errors, and work as f64 bits), captured when the row-at-a-time and
+/// vectorized executors both produced it.
+const PAPER_PROFILE_FINGERPRINT: &str = concat!(
+    "clock=1 session=0 sql=SELECT o.name, driver, damage ",
+    "FROM car as c, accidents as a, demographics as d, owner as o ",
+    "WHERE d.ownerid = o.id AND a.carid = c.id AND c.ownerid = o.id ",
+    "AND make = 'Toyota' AND model = 'Camry' AND city = 'Ottawa' ",
+    "AND country = 'CA' AND salary > 5000 ",
+    "rows=606 work=4672735027170115584 maxq=4607435808556924716 degraded=false\n",
+    "0 index_nl_join [accidents] est=4648428942795014710 act=4648541648190439424 q=4607279698703540314 work=4667320757037039616\n",
+    "1 hash_join [] est=4641165850879115632 act=4641557550330806272 q=4607435808556924716 work=4656614262561570816\n",
+    "2 hash_join [] est=4648453687260217344 act=4648691181771816960 q=4607386440930787548 work=4660041440305348608\n",
+    "3 seq_scan [demographics] est=4648453687260217344 act=4648691181771816960 q=4607386440930787548 work=4657301457328930816\n",
+    "3 seq_scan [owner] est=4656510908468559872 act=4656510908468559872 q=4607182418800017408 work=4658815484840378368\n",
+    "2 pruned_scan [car] est=4649051680848239133 act=4649130986422927360 q=4607243571560084476 work=4659265185096138752\n",
+);
+
+/// The paper query's `EXPLAIN ANALYZE` with walls masked, captured when
+/// both executors rendered it (its header then named the executor; that
+/// label is gone, the rest is unchanged).
+const PAPER_EXPLAIN_ANALYZE: &str = concat!(
+    "EXPLAIN ANALYZE: 606 rows, work 25487, max q-error 1.06\n",
+    "  index_nl_join on accidents (est=593.2 actual=606.0 q-error=1.02 work=11087 wall=_ns)\n",
+    "    hash_join (est=197.9 actual=209.0 q-error=1.06 work=2024 wall=_ns)\n",
+    "      hash_join (est=596.0 actual=623.0 q-error=1.05 work=3558 wall=_ns)\n",
+    "        seq_scan on demographics (est=596.0 actual=623.0 q-error=1.05 work=2312 wall=_ns)\n",
+    "        seq_scan on owner (est=2000.0 actual=2000.0 q-error=1.00 work=3000 wall=_ns)\n",
+    "      pruned_scan on car (est=664.0 actual=673.0 q-error=1.01 work=3204 wall=_ns)\n",
+);
+
+fn paper_db() -> jits_engine::Database {
+    let mut db = setup_database(&datagen()).unwrap();
+    prepare(&mut db, &Setting::Jits(JitsConfig::default()), &[]).unwrap();
+    db
+}
+
 #[test]
 fn profile_trees_identical_row_vs_batch() {
-    let run = |batch: bool| {
-        let mut db = setup_database(&datagen()).unwrap();
-        prepare(&mut db, &Setting::Jits(JitsConfig::default()), &[]).unwrap();
-        db.set_batch_executor(batch);
-        db.execute(PAPER_QUERY)
-            .unwrap()
-            .metrics
-            .profile
-            .expect("profiling is on by default")
-    };
-    let batch = run(true);
-    let row = run(false);
-    assert_eq!(batch.executor, "batch");
-    assert_eq!(row.executor, "row");
-    let joins = batch
+    let profile = paper_db()
+        .execute(PAPER_QUERY)
+        .unwrap()
+        .metrics
+        .profile
+        .expect("profiling is on by default");
+    let joins = profile
         .nodes
         .iter()
         .filter(|n| n.kind.contains("join"))
@@ -98,38 +124,66 @@ fn profile_trees_identical_row_vs_batch() {
     assert!(
         joins >= 3,
         "four tables need three joins: {:#?}",
-        batch.nodes
+        profile.nodes
     );
     assert!(
-        batch.nodes.iter().all(|n| n.q_error >= 1.0),
+        profile.nodes.iter().all(|n| n.q_error >= 1.0),
         "q-errors are clamped to [1, cap]"
     );
-    // the deterministic skeleton must agree bit-for-bit across executors
-    assert_eq!(fingerprint(&batch), fingerprint(&row));
+    // the deterministic skeleton must match the golden bit for bit
+    assert_eq!(fingerprint(&profile), PAPER_PROFILE_FINGERPRINT);
 }
 
 #[test]
 fn explain_analyze_shows_per_operator_rows_bit_identically() {
-    let run = |batch: bool| {
+    let text = paper_db().explain_analyze(PAPER_QUERY).unwrap();
+    assert!(text.contains("EXPLAIN ANALYZE"), "{text}");
+    assert!(text.contains("max q-error"), "{text}");
+    assert!(text.contains("est="), "{text}");
+    assert!(text.contains("actual="), "{text}");
+    assert!(text.contains("q-error="), "{text}");
+    assert!(text.contains("_scan"), "scans must appear: {text}");
+    assert!(text.contains("join"), "joins must appear: {text}");
+    // with walls masked, the render matches the golden byte for byte
+    assert_eq!(mask_render(&text), PAPER_EXPLAIN_ANALYZE);
+}
+
+/// Samples recorded by the three collection-phase latency histograms.
+fn collect_histogram_counts(obs: &Observability) -> [u64; 3] {
+    [
+        "jits.collect.table_nanos",
+        "jits.collect.gather_nanos",
+        "jits.collect.eval_nanos",
+    ]
+    .map(|name| obs.registry.histogram(name, Volatility::Volatile).count())
+}
+
+/// The collection-phase histograms are fed whether or not tracing is on:
+/// one collecting SELECT with tracing off (the default) records per-table,
+/// gather, and eval timings on both the single-owner and session paths.
+#[test]
+fn collect_histograms_fill_with_tracing_off() {
+    let collect_all = || {
         let mut db = setup_database(&datagen()).unwrap();
-        prepare(&mut db, &Setting::Jits(JitsConfig::default()), &[]).unwrap();
-        db.set_batch_executor(batch);
-        db.explain_analyze(PAPER_QUERY).unwrap()
+        db.set_setting(StatsSetting::Jits(JitsConfig {
+            s_max: 0.0,
+            ..JitsConfig::default()
+        }));
+        assert!(!db.obs().tracer.enabled(), "tracing is off by default");
+        db
     };
-    let batch = run(true);
-    let row = run(false);
-    for text in [&batch, &row] {
-        assert!(text.contains("EXPLAIN ANALYZE"), "{text}");
-        assert!(text.contains("max q-error"), "{text}");
-        assert!(text.contains("est="), "{text}");
-        assert!(text.contains("actual="), "{text}");
-        assert!(text.contains("q-error="), "{text}");
-        assert!(text.contains("_scan"), "scans must appear: {text}");
-        assert!(text.contains("join"), "joins must appear: {text}");
-    }
-    // with walls and the executor label masked, the render is bit-identical
-    assert_eq!(mask_render(&batch), mask_render(&row));
-    assert_ne!(batch, row, "the unmasked headers differ by executor");
+
+    let mut db = collect_all();
+    let r = db.execute(PAPER_QUERY).unwrap();
+    assert!(r.metrics.sampled_tables > 0, "the SELECT must collect");
+    let counts = collect_histogram_counts(db.obs());
+    assert!(counts.iter().all(|&c| c > 0), "Database: {counts:?}");
+
+    let shared = collect_all().into_shared();
+    let r = shared.session().execute(PAPER_QUERY).unwrap();
+    assert!(r.metrics.sampled_tables > 0, "the SELECT must collect");
+    let counts = collect_histogram_counts(shared.obs());
+    assert!(counts.iter().all(|&c| c > 0), "Session: {counts:?}");
 }
 
 #[test]

@@ -12,6 +12,7 @@
 use jits::JitsConfig;
 use jits_common::{DataType, FaultPlane, JitsError, Schema, TestDir, Value};
 use jits_engine::{Database, StatsSetting};
+use jits_wal::{Wal, WalRecord};
 
 const SEED: u64 = 0xD15C;
 
@@ -365,4 +366,72 @@ fn shared_database_durability_round_trips() {
         &digest(&control),
         "shared durable run vs single-owner control",
     );
+}
+
+/// Expects `Database::open` to refuse `dir` with a typed recovery error
+/// whose message contains `needle`.
+fn assert_open_refused(dir: &TestDir, needle: &str) {
+    match Database::open(SEED, dir.path()) {
+        Err(JitsError::Recovery(m)) => assert!(m.contains(needle), "{m}"),
+        Err(other) => panic!("expected a Recovery error, got {other:?}"),
+        Ok(_) => panic!("expected a Recovery error, got a recovered database"),
+    }
+}
+
+/// Logs written while the engine still had an executor-choice flag may
+/// hold a `SetFlag { name: "batch_executor" }` record. This engine cannot
+/// apply it, so opening such a directory fails with the typed "unknown
+/// flag" recovery error instead of replaying past it.
+#[test]
+fn legacy_executor_flag_in_log_fails_open_typed() {
+    let dir = TestDir::new("recovery-legacy-flag");
+    {
+        let mut db = Database::open(SEED, dir.path()).unwrap();
+        setup(&mut db, 1);
+    }
+    {
+        let mut opened = Wal::open(dir.path()).unwrap();
+        let legacy = WalRecord::SetFlag {
+            name: "batch_executor".to_string(),
+            on: false,
+        };
+        opened
+            .wal
+            .append(&legacy, &FaultPlane::disabled(), 0)
+            .unwrap();
+    } // dropping the handle syncs the log
+    assert_open_refused(&dir, "unknown flag 'batch_executor'");
+}
+
+/// A checkpoint segment in payload format version 1 — which stored an
+/// executor-choice flag byte right after the clock and RNG state — fails
+/// to open with the typed "unsupported format version" recovery error.
+/// The segment is the engine's own current checkpoint, rewritten into the
+/// version-1 layout.
+#[test]
+fn version_1_checkpoint_fails_open_typed() {
+    let dir = TestDir::new("recovery-legacy-checkpoint");
+    {
+        let mut db = Database::open(SEED, dir.path()).unwrap();
+        setup(&mut db, 1);
+        db.checkpoint()
+            .unwrap()
+            .expect("durable databases checkpoint");
+    }
+    {
+        let mut opened = Wal::open(dir.path()).unwrap();
+        let current = opened.checkpoint.take().expect("a segment").payload;
+        assert_eq!(current[0], 2, "current payload format version");
+        // version 1: [version u8][clock u64][rng u64][executor flag u8][rest]
+        let mut v1 = vec![1u8];
+        v1.extend_from_slice(&current[1..17]);
+        v1.push(1);
+        v1.extend_from_slice(&current[17..]);
+        // same LSN, so this replaces the current segment
+        opened
+            .wal
+            .checkpoint(&v1, &FaultPlane::disabled(), 0)
+            .unwrap();
+    }
+    assert_open_refused(&dir, "unsupported format version 1");
 }
